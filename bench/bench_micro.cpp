@@ -52,10 +52,11 @@ void BM_MalConvForward(benchmark::State& state) {
 }
 BENCHMARK(BM_MalConvForward);
 
-// Single-window-edit query cost (ISSUE 5): the inner loop of every
-// query-based attack -- mutate one small window, re-score. Delta uses the
-// incremental forward (diff vs cached activations), Full re-convolves the
-// whole buffer each query. The attack grids are this, millions of times.
+// Single-window-edit query cost: the inner loop of every query-based
+// attack -- mutate one small window, re-score. Delta scores through the
+// detector (forward_auto: diff vs cached activations), Full calls the net's
+// forward(), which re-convolves the whole buffer each query. The attack
+// grids are this, millions of times.
 void BM_MalConvQueryDelta(benchmark::State& state) {
   detect::ByteConvDetector det("bench", detect::malconv_config(), 11);
   util::ByteBuf buf = sample_malware();
@@ -75,15 +76,13 @@ BENCHMARK(BM_MalConvQueryDelta);
 
 void BM_MalConvQueryFull(benchmark::State& state) {
   detect::ByteConvDetector det("bench", detect::malconv_config(), 11);
-  det.net().set_incremental(false);
   util::ByteBuf buf = sample_malware();
   if (buf.size() < 16384) buf.resize(16384, 0x90);
-  det.score(buf);
   std::size_t at = 0;
   std::uint8_t v = 1;
   for (auto _ : state) {
     for (std::size_t j = 0; j < 64; ++j) buf[at + j] = v;
-    benchmark::DoNotOptimize(det.score(buf));
+    benchmark::DoNotOptimize(det.net().forward(buf));
     at = (at + 512) % (buf.size() - 64);
     ++v;
   }

@@ -2,25 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <stdexcept>
 
 #include "obs/span.hpp"
 
 namespace mpass::core {
 
-namespace {
-bool incremental_default() {
-  static const bool off = [] {
-    const char* v = std::getenv("MPASS_NO_INCREMENTAL");
-    return v != nullptr && *v != '\0' && *v != '0';
-  }();
-  return !off;
-}
-}  // namespace
-
 EnsembleOptimizer::EnsembleOptimizer(std::vector<ml::ByteConvNet*> known)
-    : known_(std::move(known)), incremental_(incremental_default()) {
+    : known_(std::move(known)) {
   if (known_.empty())
     throw std::invalid_argument("optimizer: empty known-model ensemble");
 }
@@ -40,15 +29,6 @@ float EnsembleOptimizer::ensemble_loss(
   float s = 0.0f;
   for (ml::ByteConvNet* net : known_)
     s += ml::bce_loss(net->forward_auto(bytes), 0.0f);
-  return s / static_cast<float>(known_.size());
-}
-
-float EnsembleOptimizer::ensemble_loss_delta(
-    std::span<const std::uint8_t> bytes,
-    std::span<const ml::ByteRange> dirty) const {
-  float s = 0.0f;
-  for (ml::ByteConvNet* net : known_)
-    s += ml::bce_loss(net->forward_delta(bytes, dirty), 0.0f);
   return s / static_cast<float>(known_.size());
 }
 
@@ -205,28 +185,16 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
   float best_loss = base_loss;
   std::size_t best_prefix = 0;
   std::size_t applied = 0;
-  // Dirty windows accumulated since the nets last scored the sample: each
-  // update touches its own byte plus (through set_byte) its coupled key.
-  std::vector<ml::ByteRange> dirty;
-  const auto mark_dirty = [&](std::uint32_t pos) {
-    dirty.push_back({pos, pos + 1});
-    const auto it = sample.key_of.find(pos);
-    if (it != sample.key_of.end())
-      dirty.push_back({it->second, it->second + 1});
-  };
   for (double frac : {0.125, 0.25, 0.5, 1.0}) {
     const std::size_t want = std::max<std::size_t>(
         1, static_cast<std::size_t>(frac * static_cast<double>(updates.size())));
     while (applied < want && applied < updates.size()) {
       sample.set_byte(updates[applied].pos, updates[applied].value);
-      if (incremental_) mark_dirty(updates[applied].pos);
       ++applied;
     }
-    // The prefixes are nested, so each evaluation only needs to declare
-    // the updates applied since the previous one.
-    const float loss = incremental_ ? ensemble_loss_delta(sample.bytes, dirty)
-                                    : ensemble_loss(sample.bytes);
-    dirty.clear();
+    // The prefixes are nested, so each evaluation re-convolves only the
+    // windows touched by the updates applied since the previous one.
+    const float loss = ensemble_loss(sample.bytes);
     if (loss < best_loss) {
       best_loss = loss;
       best_prefix = applied;
@@ -242,7 +210,6 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
   while (applied > best_prefix) {
     --applied;
     sample.set_byte(updates[applied].pos, updates[applied].old_value);
-    if (incremental_) mark_dirty(updates[applied].pos);
   }
 
 #ifndef NDEBUG
@@ -255,22 +222,16 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
   }
 #endif
 
-  if (incremental_) {
-    // Re-sync the nets' caches with the kept prefix (free when nothing was
-    // rolled back). For a normal step this re-derives exactly the loss the
-    // line search measured -- a cheap end-to-end check of both the rollback
-    // and the delta path -- and for an exploratory step it is the honest
-    // loss of the state actually kept (which may exceed base_loss).
-    const float kept_loss = ensemble_loss_delta(sample.bytes, dirty);
-    assert((exploratory || kept_loss == best_loss) &&
-           "incremental re-score must match the line-search loss");
-    return exploratory ? kept_loss : best_loss;
-  }
-  // Non-incremental exploratory fallback: the stored best_loss is the
-  // base loss of a state the sample is no longer in; recompute for the
-  // prefix actually kept instead of reporting it stale.
-  if (exploratory) return ensemble_loss(sample.bytes);
-  return best_loss;
+  // Re-sync the nets' caches with the kept prefix (served from the cache
+  // when nothing was rolled back). For a normal step this re-derives
+  // exactly the loss the line search measured -- a cheap end-to-end check
+  // of the rollback and the incremental forward -- and for an exploratory
+  // step it is the honest loss of the state actually kept (which may
+  // exceed base_loss).
+  const float kept_loss = ensemble_loss(sample.bytes);
+  assert((exploratory || kept_loss == best_loss) &&
+         "re-score must match the line-search loss");
+  return kept_loss;
 }
 
 }  // namespace mpass::core

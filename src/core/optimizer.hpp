@@ -31,8 +31,8 @@ class EnsembleOptimizer {
   ///
   /// The line search evaluates nested prefixes: each candidate differs
   /// from the previous one only in the updates applied in between, so
-  /// with incremental scoring enabled (default) every evaluation is a
-  /// forward_delta over those dirty windows instead of a full forward.
+  /// every evaluation (through the nets' forward_auto) re-convolves only
+  /// the windows those updates touched instead of running a full forward.
   float step(ModifiedSample& sample) const;
 
   /// Mean ensemble probability of `bytes` being malicious.
@@ -41,20 +41,8 @@ class EnsembleOptimizer {
   /// Mean ensemble BCE loss toward the benign label.
   float ensemble_loss(std::span<const std::uint8_t> bytes) const;
 
-  /// ensemble_loss via each net's incremental forward: `dirty` must cover
-  /// every byte that changed since the net last scored this sample.
-  float ensemble_loss_delta(std::span<const std::uint8_t> bytes,
-                            std::span<const ml::ByteRange> dirty) const;
-
-  /// Disables/enables incremental line-search scoring (default: on unless
-  /// MPASS_NO_INCREMENTAL=1). Results are bit-identical either way; the
-  /// escape hatch exists for debugging and differential tests.
-  void set_incremental(bool on) { incremental_ = on; }
-  bool incremental() const { return incremental_; }
-
  private:
   std::vector<ml::ByteConvNet*> known_;
-  bool incremental_;
 };
 
 }  // namespace mpass::core

@@ -28,18 +28,11 @@ class ByteConvDetector : public Detector {
 
   /// Incremental scoring: query-based attacks (MAB's per-pull mutations,
   /// GAMMA's genome variants, MPass's optimized re-queries) score buffers
-  /// differing from the previous query in a few windows, so the net diffs
-  /// against its cached forward and re-convolves only the dirty timesteps.
-  /// Bit-for-bit equal to a full forward (MPASS_NO_INCREMENTAL=1 reverts).
+  /// differing from the previous query in a few windows, so the net's
+  /// forward_auto diffs against its cached forward and re-convolves only
+  /// the changed timesteps. Bit-for-bit equal to a full forward.
   double score(std::span<const std::uint8_t> bytes) const override {
     return net_.forward_auto(bytes);
-  }
-
-  /// Batched candidate scoring against one cached baseline (edits are
-  /// independent alternatives, not cumulative).
-  std::vector<float> score_deltas(std::span<const std::uint8_t> base,
-                                  std::span<const ml::ByteEdit> edits) const {
-    return net_.score_deltas(base, edits);
   }
 
   /// Deep copy (ByteConvNet's copy constructor gives the clone private

@@ -284,8 +284,6 @@ std::optional<Violation> check_incremental_forward(
 
   ml::ByteConvNet inc(cfg, seed);
   ml::ByteConvNet ref(inc);  // identical parameters, independent caches
-  inc.set_incremental(true);
-  ref.set_incremental(false);
 
   const auto mismatch = [&](std::string_view where, float got, float want) {
     return Violation{
@@ -311,39 +309,26 @@ std::optional<Violation> check_incremental_forward(
     const std::size_t len =
         std::min<std::size_t>(1 + rng.below(64), buf.size() - pos);
     for (std::size_t j = 0; j < len; ++j) buf[pos + j] = rng.byte();
-    const ml::ByteRange dirty{pos, pos + len};
-    const float d = inc.forward_delta(buf, {&dirty, 1});
     const float f = ref.forward(buf);
-    if (d != f) return mismatch("forward_delta edit " + std::to_string(i), d, f);
     const float a = inc.forward_auto(buf);
     if (a != f) return mismatch("forward_auto edit " + std::to_string(i), a, f);
   }
 
-  // Batched independent candidates against one cached baseline.
-  std::vector<ByteBuf> payloads(8);
-  std::vector<ml::ByteEdit> edits;
-  edits.reserve(payloads.size());
-  for (ByteBuf& p : payloads) {
-    p.resize(1 + rng.below(48));
-    for (auto& x : p) x = rng.byte();
-    edits.push_back({rng.below(buf.size()), p});
-  }
-  const std::vector<float> batched = inc.score_deltas(buf, edits);
-  for (std::size_t i = 0; i < edits.size(); ++i) {
+  // Independent candidates against one base, the query-attack pattern:
+  // each variant differs from the previously scored one in two windows
+  // (the last edit reverted, the new one applied).
+  for (int i = 0; i < 8; ++i) {
     ByteBuf variant = buf;
-    const std::size_t lo = std::min(edits[i].offset, variant.size());
-    const std::size_t hi =
-        std::min(edits[i].offset + edits[i].bytes.size(), variant.size());
-    std::copy(edits[i].bytes.begin(),
-              edits[i].bytes.begin() + static_cast<std::ptrdiff_t>(hi - lo),
-              variant.begin() + static_cast<std::ptrdiff_t>(lo));
+    const std::size_t pos = rng.below(variant.size());
+    const std::size_t len =
+        std::min<std::size_t>(1 + rng.below(48), variant.size() - pos);
+    for (std::size_t j = 0; j < len; ++j) variant[pos + j] = rng.byte();
     const float f = ref.forward(variant);
-    if (batched[i] != f)
-      return mismatch("score_deltas[" + std::to_string(i) + "]", batched[i], f);
+    const float a = inc.forward_auto(variant);
+    if (a != f) return mismatch("candidate " + std::to_string(i), a, f);
   }
-  // score_deltas must leave the cache corresponding to the unedited base.
   if (inc.forward_auto(buf) != ref.forward(buf))
-    return mismatch("post-batch base", inc.forward_auto(buf), ref.forward(buf));
+    return mismatch("restored base", inc.forward_auto(buf), ref.forward(buf));
 
   return std::nullopt;
 }

@@ -48,7 +48,7 @@ enum class ViolationKind {
   StubOptionsNotRejected,// invalid StubOptions did not throw
   StubBuildFailed,       // valid StubOptions threw / overran the size bound
   FunctionalityBroken,   // sandbox trace changed under the modification
-  IncrementalScoreMismatch, // forward_delta/forward_auto != full forward
+  IncrementalScoreMismatch, // forward_auto != full forward
 };
 
 std::string_view kind_name(ViolationKind kind);
@@ -77,11 +77,11 @@ std::optional<Violation> check_attack_preserves(
     std::span<const std::uint8_t> donor, const core::ModificationConfig& cfg,
     std::uint64_t seed);
 
-/// Differential oracle for ByteConvNet's incremental forward (ISSUE 5): on
+/// Differential oracle for ByteConvNet's incremental forward: on
 /// a fresh small net (architecture variant chosen from `seed`), cumulative
-/// random window edits scored through forward_delta / forward_auto and
-/// batched candidates through score_deltas must match a full-forward
-/// reference net bit-for-bit (exact float equality, no tolerance).
+/// random window edits and independent edit/revert candidates scored
+/// through forward_auto must match a full-forward reference net
+/// bit-for-bit (exact float equality, no tolerance).
 std::optional<Violation> check_incremental_forward(
     std::span<const std::uint8_t> input, std::uint64_t seed);
 

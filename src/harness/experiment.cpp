@@ -13,7 +13,6 @@
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "util/hashing.hpp"
@@ -36,7 +35,7 @@ ExperimentConfig ExperimentConfig::from_env() {
 }
 
 std::uint64_t ExperimentConfig::digest() const {
-  std::uint64_t h = 9;  // bump to invalidate cached results
+  std::uint64_t h = 10;  // bump to invalidate cached results
   h = util::hash_combine(h, n_samples);
   h = util::hash_combine(h, max_queries);
   h = util::hash_combine(h, seed);
@@ -292,7 +291,6 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
         .num("wall_ms", stats.wall_ms);
     obs::append_run_line("cells.jsonl", line.take());
   }
-  stats.metrics = obs::Registry::instance().snapshot().flat();
   return stats;
 }
 
@@ -375,11 +373,6 @@ void save_cell(util::Archive& ar, const CellStats& c) {
   ar.u64(c.total_queries);
   ar.f64(c.wall_ms);
   ar.f64(c.qps);
-  ar.u32(static_cast<std::uint32_t>(c.metrics.size()));
-  for (const auto& [name, value] : c.metrics) {
-    ar.str(name);
-    ar.f64(value);
-  }
 }
 
 CellStats load_cell(util::Unarchive& ar) {
@@ -398,11 +391,6 @@ CellStats load_cell(util::Unarchive& ar) {
   c.total_queries = ar.u64();
   c.wall_ms = ar.f64();
   c.qps = ar.f64();
-  c.metrics.resize(ar.u32());
-  for (auto& [name, value] : c.metrics) {
-    name = ar.str();
-    value = ar.f64();
-  }
   return c;
 }
 

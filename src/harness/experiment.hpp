@@ -47,11 +47,6 @@ struct CellStats {
   // of its sample-task durations does (and cache hits count as ~0).
   double wall_ms = 0.0;
   double qps = 0.0;  // total_queries / (wall_ms seconds); 0 when unmeasured
-  // Flattened obs::Registry snapshot taken when the cell finished computing
-  // (counters, gauges, histogram .count/.sum). Informative only: excluded
-  // from result_digest(), and empty for cells loaded from the cell cache of
-  // an older run. `tools/mpass_trace diff` compares two of these.
-  std::vector<std::pair<std::string, double>> metrics;
 
   /// Digest of the deterministic result fields (everything except the
   /// timing counters). run_cell guarantees this is identical regardless of

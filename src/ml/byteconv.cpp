@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -17,39 +16,6 @@ constexpr int kPad = 256;
 inline float sigmoidf(float x) {
   return 1.0f / (1.0f + std::exp(-x));
 }
-
-bool incremental_default() {
-  static const bool off = [] {
-    const char* v = std::getenv("MPASS_NO_INCREMENTAL");
-    return v != nullptr && *v != '\0' && *v != '0';
-  }();
-  return !off;
-}
-
-/// Clamps `ranges` to [0, n), drops empties, and coalesces sorted/nearby
-/// ranges (gap <= width) so overlapping timestep windows are visited once.
-std::vector<ByteRange> normalize_ranges(std::span<const ByteRange> ranges,
-                                        std::size_t n, std::size_t width) {
-  std::vector<ByteRange> out;
-  out.reserve(ranges.size());
-  for (const ByteRange& r : ranges) {
-    const std::size_t lo = std::min(r.lo, n);
-    const std::size_t hi = std::min(r.hi, n);
-    if (lo < hi) out.push_back({lo, hi});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const ByteRange& a, const ByteRange& b) { return a.lo < b.lo; });
-  std::size_t w = 0;
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    if (out[i].lo <= out[w].hi + width) {
-      out[w].hi = std::max(out[w].hi, out[i].hi);
-    } else {
-      out[++w] = out[i];
-    }
-  }
-  if (!out.empty()) out.resize(w + 1);
-  return out;
-}
 }  // namespace
 
 float bce_loss(float prob, float target) {
@@ -58,7 +24,7 @@ float bce_loss(float prob, float target) {
 }
 
 ByteConvNet::ByteConvNet(const ByteConvConfig& cfg, std::uint64_t seed)
-    : cfg_(cfg), incremental_(incremental_default()) {
+    : cfg_(cfg) {
   const int d = cfg_.embed_dim;
   const int F = cfg_.filters;
   const int W = cfg_.width;
@@ -274,7 +240,7 @@ float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
     const std::size_t p_hi = std::min(T, (r.hi - 1) / S + 1);
     if (p_lo < p_hi) tranges.push_back({p_lo, p_hi});
   }
-  // normalize_ranges already coalesced byte ranges with gap <= W, so the
+  // forward_auto already coalesced byte ranges with gap <= W, so the
   // timestep ranges are sorted; merge any residual overlap.
   std::size_t w = 0;
   for (std::size_t i = 1; i < tranges.size(); ++i) {
@@ -356,22 +322,6 @@ float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
   return prob_;
 }
 
-float ByteConvNet::forward_delta(std::span<const std::uint8_t> bytes,
-                                 std::span<const ByteRange> dirty) {
-  const std::size_t n = std::min(bytes.size(), cfg_.max_len);
-  const std::size_t n_tok =
-      std::max<std::size_t>(n, static_cast<std::size_t>(cfg_.width));
-  if (!incremental_ || !cache_usable(n, n_tok)) return forward(bytes);
-  const std::vector<ByteRange> ranges =
-      normalize_ranges(dirty, n, static_cast<std::size_t>(cfg_.width));
-  // A dirty set covering most timesteps recomputes nearly everything; the
-  // straight full forward is then cheaper than delta bookkeeping.
-  std::size_t dirty_bytes = 0;
-  for (const ByteRange& r : ranges) dirty_bytes += r.hi - r.lo;
-  if (dirty_bytes * 2 > n_tok) return forward(bytes);
-  return apply_delta(bytes, ranges);
-}
-
 float ByteConvNet::forward_auto(std::span<const std::uint8_t> bytes) {
   const std::size_t n = std::min(bytes.size(), cfg_.max_len);
   const std::size_t n_tok =
@@ -401,31 +351,6 @@ float ByteConvNet::forward_auto(std::span<const std::uint8_t> bytes) {
     return prob_;  // byte-identical to the cached input
   }
   return apply_delta(bytes, ranges);
-}
-
-std::vector<float> ByteConvNet::score_deltas(
-    std::span<const std::uint8_t> base, std::span<const ByteEdit> edits) {
-  std::vector<float> out;
-  out.reserve(edits.size());
-  // Establish (or cheaply re-verify) the cached baseline, then walk the
-  // candidates: each forward_delta declares both the previous edit's range
-  // (reverted) and the current one, so the cache always chases the scratch
-  // buffer. On exit the cache is rolled back to `base` bit-for-bit.
-  util::ByteBuf scratch(base.begin(), base.end());
-  forward_auto(base);
-  ByteRange prev{0, 0};
-  for (const ByteEdit& e : edits) {
-    const std::size_t lo = std::min(e.offset, scratch.size());
-    const std::size_t hi = std::min(e.offset + e.bytes.size(), scratch.size());
-    if (hi > lo) std::copy_n(e.bytes.data(), hi - lo, scratch.data() + lo);
-    const ByteRange cur{lo, hi};
-    const ByteRange dirty[2] = {prev, cur};
-    out.push_back(forward_delta(scratch, dirty));
-    if (hi > lo) std::copy_n(base.data() + lo, hi - lo, scratch.data() + lo);
-    prev = cur;
-  }
-  if (prev.lo < prev.hi) forward_delta(base, {&prev, 1});
-  return out;
 }
 
 float ByteConvNet::backward(float target, std::vector<float>* input_grad,

@@ -22,21 +22,6 @@
 
 namespace mpass::ml {
 
-/// Half-open range of file offsets whose bytes changed since the cached
-/// forward (incremental evaluation, see ByteConvNet::forward_delta).
-struct ByteRange {
-  std::size_t lo = 0;
-  std::size_t hi = 0;  // exclusive
-};
-
-/// One candidate variant of a base buffer: the window
-/// [offset, offset + bytes.size()) is replaced by `bytes` (same length --
-/// edits never grow or shrink the buffer).
-struct ByteEdit {
-  std::size_t offset = 0;
-  std::span<const std::uint8_t> bytes;
-};
-
 struct ByteConvConfig {
   std::size_t max_len = 16384;  // input truncation length L
   int embed_dim = 8;            // d
@@ -59,57 +44,31 @@ class ByteConvNet {
   ByteConvNet& operator=(const ByteConvNet&) = delete;
 
   /// Probability the sample is malicious. Caches activations for backward.
-  /// Always runs the full convolution (the incremental entry points below
-  /// reuse this cache and are bit-for-bit equivalent to calling it).
+  /// Always runs the full convolution: the reference that forward_auto is
+  /// bit-for-bit equivalent to.
   float forward(std::span<const std::uint8_t> bytes);
 
-  // ---- incremental forward ------------------------------------------------
-  //
-  // Every optimization step and hard-label query re-scores a buffer that
-  // differs from the previously scored one in a handful of byte windows.
-  // The full conv forward is O(T * F * W * d); re-convolving only the
-  // timesteps whose stride-S windows overlap a dirty range and repairing
-  // the global max pool incrementally makes the per-query cost proportional
-  // to the edit size instead. All three entry points are *exactly*
-  // equivalent to forward(): same float operations in the same order on
-  // every recomputed value, so scores (and the activation cache, hence
-  // backward) are bit-for-bit identical -- enforced by
-  // tests/test_byteconv_incremental.cpp and the fuzz oracle.
-  //
-  // The cache is keyed on the ParamSet version: any weight update (Adam,
-  // load, clamp_nonneg) invalidates it and the next call falls back to a
-  // full forward. MPASS_NO_INCREMENTAL=1 (or set_incremental(false))
-  // disables the delta paths entirely; every call then runs forward().
-
-  /// Incremental forward: `bytes` is the full new buffer and `dirty`
-  /// lists every range where it differs from the last forward's input.
-  /// Falls back to a full forward when the cache is missing/stale, the
-  /// consumed length changed, or the dirty set covers most timesteps.
-  float forward_delta(std::span<const std::uint8_t> bytes,
-                      std::span<const ByteRange> dirty);
-
-  /// Incremental forward with self-computed dirty ranges: diffs `bytes`
-  /// against the cached tokens (an O(L) integer scan, ~500x cheaper than
-  /// the conv) and dispatches to the delta or full path. Safe for callers
-  /// that do not track their own edits (detector score paths).
+  /// Incremental forward, the one entry point every scorer uses. Detector
+  /// queries and the optimizer's line search re-score a buffer that differs
+  /// from the previously scored one in a handful of byte windows; the full
+  /// conv forward is O(T * F * W * d). forward_auto diffs `bytes` against
+  /// the cached tokens (an O(L) integer scan), re-convolves only the
+  /// timesteps whose stride-S windows overlap a changed byte, and repairs
+  /// the global max pool incrementally, so the cost follows the edit size.
+  /// An unchanged buffer is served from the cache.
+  ///
+  /// The result is *exactly* forward(bytes): the same float operations in
+  /// the same order on every recomputed value, so scores (and the
+  /// activation cache, hence backward) are bit-for-bit identical --
+  /// enforced by tests/test_byteconv_incremental.cpp and the fuzz oracle.
+  /// It runs a full forward when the cache is missing or stale (any
+  /// ParamSet version bump: Adam, load, clamp_nonneg), the consumed length
+  /// changed, or the changed bytes cover most of the buffer.
   float forward_auto(std::span<const std::uint8_t> bytes);
 
-  /// Batched candidate scoring: returns forward(base-with-edit) for each
-  /// edit *independently* (edits are alternatives, not cumulative), using
-  /// one cached baseline instead of K full forwards. On return the cache
-  /// again corresponds to `base`, so a subsequent forward_auto(base) is
-  /// free. Edits reaching past the consumed length are truncated.
-  std::vector<float> score_deltas(std::span<const std::uint8_t> base,
-                                  std::span<const ByteEdit> edits);
-
-  /// Enables/disables the incremental paths for this net (default: on
-  /// unless MPASS_NO_INCREMENTAL=1). Off: every entry point runs the full
-  /// forward.
+  /// Turns the incremental path off (default on); forward_auto then always
+  /// runs forward(). Used by tests as a full-forward reference.
   void set_incremental(bool on) { incremental_ = on; }
-  bool incremental() const { return incremental_; }
-
-  /// Drops the activation cache; the next incremental call runs full.
-  void invalidate_cache() { cache_valid_ = false; }
 
   /// Backprop of BCE(prob, target) for the last forward() input.
   /// If input_grad is non-null it receives dLoss/dEmbedding, laid out
@@ -153,9 +112,15 @@ class ByteConvNet {
   /// Dense head only (pooled_ -> prob_).
   void dense_head();
   float full_forward(std::span<const std::uint8_t> bytes);
-  /// Applies already-tokenized dirty ranges: re-embeds + re-convolves the
-  /// overlapping timesteps and repairs the pool. `ranges` are *token*
-  /// position ranges, clamped and coalesced, with `bytes` the new buffer.
+  /// Half-open range of token positions (or timesteps).
+  struct ByteRange {
+    std::size_t lo = 0;
+    std::size_t hi = 0;  // exclusive
+  };
+  /// Applies the changed ranges found by forward_auto: re-embeds +
+  /// re-convolves the overlapping timesteps and repairs the pool. `ranges`
+  /// are sorted token-position ranges within the consumed length,
+  /// coalesced with gap <= width, with `bytes` the new buffer.
   float apply_delta(std::span<const std::uint8_t> bytes,
                     std::span<const ByteRange> ranges);
   bool cache_usable(std::size_t n, std::size_t n_tok) const;
@@ -190,7 +155,7 @@ class ByteConvNet {
   // Incremental-forward state: whether the caches above describe a real
   // forward, the consumed byte count it was computed on, and the ParamSet
   // version its activations correspond to.
-  bool incremental_;
+  bool incremental_ = true;
   bool cache_valid_ = false;
   std::size_t cache_n_ = 0;
   std::uint64_t cache_version_ = 0;

@@ -317,19 +317,6 @@ std::string Snapshot::to_json() const {
   return s;
 }
 
-std::vector<std::pair<std::string, double>> Snapshot::flat() const {
-  std::vector<std::pair<std::string, double>> out;
-  out.reserve(counters.size() + gauges.size() + 2 * histograms.size());
-  for (const auto& [name, v] : counters)
-    out.emplace_back(name, static_cast<double>(v));
-  for (const auto& [name, v] : gauges) out.emplace_back(name, v);
-  for (const auto& [name, h] : histograms) {
-    out.emplace_back(name + ".count", static_cast<double>(h.count));
-    out.emplace_back(name + ".sum", h.sum);
-  }
-  return out;
-}
-
 // ---- timers -----------------------------------------------------------------
 
 std::span<const double> time_bounds() {

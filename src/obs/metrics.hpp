@@ -53,10 +53,6 @@ struct Snapshot {
 
   /// One JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
   std::string to_json() const;
-
-  /// Flat (name, value) view: counters as-is, gauges, and per histogram
-  /// "<name>.count" / "<name>.sum". Used to embed snapshots in CellStats.
-  std::vector<std::pair<std::string, double>> flat() const;
 };
 
 class Registry {

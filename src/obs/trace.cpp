@@ -182,8 +182,7 @@ void write_metrics_snapshot() {
   const std::string json = Registry::instance().snapshot().to_json();
   std::ofstream out(*dir / "metrics.json", std::ios::binary | std::ios::trunc);
   if (out) out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  // Call-path view of the same run, consumed by `mpass_prof top/tree/export`
-  // and the `mpass_trace summary --spans` section.
+  // Call-path view of the same run, consumed by `mpass_prof top/tree/export`.
   const std::string spans = spans_to_json(span_snapshot());
   std::ofstream sout(*dir / "spans.json", std::ios::binary | std::ios::trunc);
   if (sout)

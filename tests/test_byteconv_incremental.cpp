@@ -1,13 +1,17 @@
-// Differential tests for ByteConvNet's incremental forward (ISSUE 5): every
-// delta entry point must agree with the full forward *bitwise* (EXPECT_EQ on
-// floats, no tolerance) -- window-straddling edits, truncation-boundary
-// edits at max_len, empty deltas, cache invalidation on weight updates, and
-// the batched score_deltas candidate path.
+// Differential tests for ByteConvNet's incremental forward: forward_auto
+// must agree with the full forward() *bitwise* (EXPECT_EQ on floats, no
+// tolerance) -- window-straddling edits, truncation-boundary edits at
+// max_len, empty and no-op edits, the whole-buffer fallback, cache
+// invalidation on weight updates, and independent candidates against one
+// base. The ml.forward.full/.delta/.cached counters confirm which path
+// served each call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "ml/byteconv.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace mpass::ml {
@@ -42,23 +46,37 @@ std::vector<ByteConvConfig> all_variants() {
   return out;
 }
 
-/// Applies `edit` at `pos` and checks forward_delta and forward_auto both
-/// match a full-forward reference net with identical parameters.
-void expect_delta_matches(ByteConvNet& inc, ByteConvNet& ref, const ByteBuf& buf,
-                          std::size_t lo, std::size_t hi) {
-  const ByteRange dirty{lo, hi};
-  const float d = inc.forward_delta(buf, {&dirty, 1});
+/// How many ByteConvNet evaluations each path has served so far.
+struct PathCounts {
+  std::uint64_t full = 0, delta = 0, cached = 0;
+
+  static PathCounts now() {
+    const obs::Snapshot s = obs::Registry::instance().snapshot();
+    const auto get = [&s](const char* name) -> std::uint64_t {
+      const auto it = s.counters.find(name);
+      return it == s.counters.end() ? 0 : it->second;
+    };
+    return {get("ml.forward.full"), get("ml.forward.delta"),
+            get("ml.forward.cached")};
+  }
+  PathCounts since(const PathCounts& before) const {
+    return {full - before.full, delta - before.delta, cached - before.cached};
+  }
+};
+
+/// Checks forward_auto on the edited `buf` matches a full-forward reference
+/// net with identical parameters.
+void expect_auto_matches(ByteConvNet& inc, ByteConvNet& ref,
+                         const ByteBuf& buf, std::size_t lo, std::size_t hi) {
   const float f = ref.forward(buf);
-  EXPECT_EQ(d, f) << "forward_delta range [" << lo << "," << hi << ")";
-  EXPECT_EQ(inc.forward_auto(buf), f);
+  EXPECT_EQ(inc.forward_auto(buf), f)
+      << "edit [" << lo << "," << hi << ")";
 }
 
 TEST(ByteConvIncremental, RandomWindowEditsBitwiseEqualAllVariants) {
   for (const ByteConvConfig& cfg : all_variants()) {
     ByteConvNet inc(cfg, 11);
     ByteConvNet ref(inc);
-    inc.set_incremental(true);
-    ref.set_incremental(false);
 
     util::Rng rng(42);
     // Sizes around every boundary: empty, < width, == width, < max_len,
@@ -74,7 +92,7 @@ TEST(ByteConvIncremental, RandomWindowEditsBitwiseEqualAllVariants) {
         const std::size_t len =
             std::min<std::size_t>(1 + rng.below(48), buf.size() - pos);
         for (std::size_t j = 0; j < len; ++j) buf[pos + j] = rng.byte();
-        expect_delta_matches(inc, ref, buf, pos, pos + len);
+        expect_auto_matches(inc, ref, buf, pos, pos + len);
       }
     }
   }
@@ -84,7 +102,6 @@ TEST(ByteConvIncremental, WindowStraddlingAndTruncationBoundary) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 3);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(9);
   ByteBuf buf = rng.bytes(cfg.max_len + 256);
 
@@ -103,50 +120,66 @@ TEST(ByteConvIncremental, WindowStraddlingAndTruncationBoundary) {
   for (const std::size_t pos : spots) {
     const std::size_t len = std::min<std::size_t>(W, buf.size() - pos);
     for (std::size_t j = 0; j < len; ++j) buf[pos + j] = rng.byte();
-    expect_delta_matches(inc, ref, buf, pos, pos + len);
+    expect_auto_matches(inc, ref, buf, pos, pos + len);
   }
+
+  // Edits past max_len change nothing the net consumes: served from cache.
+  const PathCounts before = PathCounts::now();
+  for (std::size_t j = cfg.max_len; j < buf.size(); ++j) buf[j] ^= 0xFF;
+  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
+  EXPECT_EQ(PathCounts::now().since(before).cached, 1u);
 }
 
 TEST(ByteConvIncremental, EmptyAndNoopDeltas) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 5);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(17);
-  const ByteBuf buf = rng.bytes(700);
+  ByteBuf buf = rng.bytes(700);
 
   const float base = ref.forward(buf);
   EXPECT_EQ(inc.forward_auto(buf), base);
-  // Empty dirty set.
-  EXPECT_EQ(inc.forward_delta(buf, {}), base);
-  // Empty range and a range declared dirty whose bytes did not change
-  // (unchanged-value writes must stay bitwise stable).
-  const ByteRange empty{40, 40};
-  EXPECT_EQ(inc.forward_delta(buf, {&empty, 1}), base);
-  const ByteRange noop{100, 180};
-  EXPECT_EQ(inc.forward_delta(buf, {&noop, 1}), base);
-  // Unchanged buffer through the auto path hits the cache.
+
+  const PathCounts before = PathCounts::now();
+  // Empty edit: the same buffer again.
   EXPECT_EQ(inc.forward_auto(buf), base);
+  // No-op edit: a window rewritten with its own values.
+  const ByteBuf window(buf.begin() + 100, buf.begin() + 180);
+  std::copy(window.begin(), window.end(), buf.begin() + 100);
+  EXPECT_EQ(inc.forward_auto(buf), base);
+  // An edit and its revert: the revert is a delta back to the base.
+  const std::uint8_t old = buf[40];
+  buf[40] = static_cast<std::uint8_t>(old + 1);
+  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
+  buf[40] = old;
+  EXPECT_EQ(inc.forward_auto(buf), base);
+
+  const PathCounts used = PathCounts::now().since(before);
+  EXPECT_EQ(used.cached, 2u);
+  EXPECT_EQ(used.delta, 2u);
+  EXPECT_EQ(used.full, 1u);  // the reference forward on the edited buffer
 }
 
 TEST(ByteConvIncremental, WholeBufferDirtyFallsBackToFull) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 5);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(23);
   ByteBuf buf = rng.bytes(800);
   EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
-  for (auto& x : buf) x = rng.byte();
-  const ByteRange all{0, buf.size()};
-  EXPECT_EQ(inc.forward_delta(buf, {&all, 1}), ref.forward(buf));
+  for (auto& x : buf) x = static_cast<std::uint8_t>(x + 1);
+
+  const PathCounts before = PathCounts::now();
+  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
+  const PathCounts used = PathCounts::now().since(before);
+  EXPECT_EQ(used.full, 2u);  // the fallback plus the reference
+  EXPECT_EQ(used.delta, 0u);
 }
 
 TEST(ByteConvIncremental, CumulativeChainedDeltas) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 29);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(31);
   ByteBuf buf = rng.bytes(900);
   EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
@@ -155,7 +188,7 @@ TEST(ByteConvIncremental, CumulativeChainedDeltas) {
   for (int i = 0; i < 200; ++i) {
     const std::size_t pos = rng.below(buf.size());
     buf[pos] = rng.byte();
-    expect_delta_matches(inc, ref, buf, pos, pos + 1);
+    expect_auto_matches(inc, ref, buf, pos, pos + 1);
   }
 }
 
@@ -163,7 +196,6 @@ TEST(ByteConvIncremental, ParamUpdateInvalidatesCache) {
   const ByteConvConfig cfg = small_config();
   ByteConvNet inc(cfg, 37);
   ByteConvNet ref(inc);
-  ref.set_incremental(false);
   util::Rng rng(41);
   const ByteBuf buf = rng.bytes(600);
   EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
@@ -183,37 +215,27 @@ TEST(ByteConvIncremental, ParamUpdateInvalidatesCache) {
       << "stale cache served after a weight update";
 }
 
-TEST(ByteConvIncremental, ScoreDeltasMatchesIndependentFullForwards) {
+TEST(ByteConvIncremental, IndependentCandidatesMatchFullForwards) {
   for (const ByteConvConfig& cfg : all_variants()) {
     ByteConvNet inc(cfg, 43);
     ByteConvNet ref(inc);
-    ref.set_incremental(false);
     util::Rng rng(47);
     const ByteBuf base = rng.bytes(cfg.max_len);
     const float base_score = ref.forward(base);
+    EXPECT_EQ(inc.forward_auto(base), base_score);
 
-    std::vector<ByteBuf> payloads(12);
-    std::vector<ByteEdit> edits;
-    for (ByteBuf& p : payloads) {
-      p = rng.bytes(1 + rng.below(64));
-      edits.push_back({rng.below(base.size()), p});
-    }
-    // Out-of-range edit: clamped to a no-op tail write.
-    payloads.push_back(rng.bytes(32));
-    edits.push_back({base.size() - 8, payloads.back()});
-
-    const std::vector<float> got = inc.score_deltas(base, edits);
-    ASSERT_EQ(got.size(), edits.size());
-    for (std::size_t i = 0; i < edits.size(); ++i) {
+    // Candidates are alternatives, not cumulative: each variant differs
+    // from the previously scored one in two windows (the last edit
+    // reverted, the new one applied). The final one runs past the end.
+    for (int i = 0; i < 13; ++i) {
       ByteBuf variant = base;
-      const std::size_t lo = std::min(edits[i].offset, variant.size());
+      const std::size_t lo = i < 12 ? rng.below(base.size()) : base.size() - 8;
       const std::size_t hi =
-          std::min(edits[i].offset + edits[i].bytes.size(), variant.size());
-      for (std::size_t j = lo; j < hi; ++j)
-        variant[j] = edits[i].bytes[j - lo];
-      EXPECT_EQ(got[i], ref.forward(variant)) << "edit " << i;
+          std::min(lo + 1 + rng.below(64), variant.size());
+      for (std::size_t j = lo; j < hi; ++j) variant[j] = rng.byte();
+      EXPECT_EQ(inc.forward_auto(variant), ref.forward(variant))
+          << "candidate " << i;
     }
-    // The cache must be rolled back to the unedited base afterwards.
     EXPECT_EQ(inc.forward_auto(base), base_score);
   }
 }
@@ -223,16 +245,20 @@ TEST(ByteConvIncremental, DisabledIncrementalAlwaysRunsFull) {
   ByteConvNet a(cfg, 53);
   ByteConvNet b(a);
   a.set_incremental(false);
-  b.set_incremental(true);
-  EXPECT_FALSE(a.incremental());
-  EXPECT_TRUE(b.incremental());
   util::Rng rng(59);
   ByteBuf buf = rng.bytes(512);
   for (int i = 0; i < 8; ++i) {
-    buf[rng.below(buf.size())] = rng.byte();
+    const std::size_t pos = rng.below(buf.size());
+    buf[pos] = static_cast<std::uint8_t>(buf[pos] + 1);
+    const PathCounts before = PathCounts::now();
     EXPECT_EQ(a.forward_auto(buf), b.forward_auto(buf));
-    const ByteRange whole{0, buf.size()};
-    EXPECT_EQ(a.forward_delta(buf, {&whole, 1}), b.forward(buf));
+    EXPECT_EQ(a.forward_auto(buf), b.forward(buf));
+    const PathCounts used = PathCounts::now().since(before);
+    // a: two full forwards; b: one delta (or full on the first call), one
+    // full reference.
+    EXPECT_EQ(used.full, i == 0 ? 4u : 3u) << "call " << i;
+    EXPECT_EQ(used.delta, i == 0 ? 0u : 1u) << "call " << i;
+    EXPECT_EQ(used.cached, 0u);
   }
 }
 

@@ -21,19 +21,24 @@ ByteBuf donor_bytes(std::uint64_t seed = 1000) {
 
 // Property sweep: the modification preserves functionality across random
 // malware, with and without the shuffle strategy.
+// The padding is an explicit zeroed member: gtest names each case after the
+// parameter's raw bytes, and implicit padding would leak uninitialised bytes
+// into the test names, making them change from run to run.
 struct ModCase {
   std::uint64_t seed;
   bool shuffle;
+  std::uint8_t pad[7] = {};
 };
+static_assert(sizeof(ModCase) == 16);
 
 class ModificationPreserves : public ::testing::TestWithParam<ModCase> {};
 
 TEST_P(ModificationPreserves, TraceIdentical) {
-  const auto [seed, shuffle] = GetParam();
-  const ByteBuf orig = corpus::make_malware(seed).bytes();
-  util::Rng rng(seed ^ 0xF00D);
+  const ModCase& c = GetParam();
+  const ByteBuf orig = corpus::make_malware(c.seed).bytes();
+  util::Rng rng(c.seed ^ 0xF00D);
   ModificationConfig cfg;
-  cfg.stub.shuffle = shuffle;
+  cfg.stub.shuffle = c.shuffle;
   const ModifiedSample mod =
       apply_modification(orig, donor_bytes(), cfg, rng);
   const vm::Sandbox sandbox;
@@ -265,9 +270,10 @@ TEST_F(TinyNetFixture, SetByteRollbackRestoresExactBytes) {
 }
 
 TEST_F(TinyNetFixture, OptimizerIncrementalMatchesFullRecompute) {
-  // Two identical nets and samples; one optimizer runs the incremental
-  // line search, the other the MPASS_NO_INCREMENTAL escape hatch. Byte
-  // digests and returned losses must agree exactly at every step.
+  // Two identical nets and samples; one optimizer scores incrementally, the
+  // other over a net with the incremental path switched off (every
+  // forward_auto runs the full forward). Byte digests and returned losses
+  // must agree exactly at every step.
   ml::ByteConvNet full_net(det_->net());
   full_net.set_incremental(false);
 
@@ -281,10 +287,7 @@ TEST_F(TinyNetFixture, OptimizerIncrementalMatchesFullRecompute) {
   ASSERT_EQ(util::fnv1a64(inc_mod.bytes), util::fnv1a64(full_mod.bytes));
 
   EnsembleOptimizer inc_opt({&det_->net()});
-  inc_opt.set_incremental(true);
   EnsembleOptimizer full_opt({&full_net});
-  full_opt.set_incremental(false);
-  ASSERT_FALSE(full_opt.incremental());
 
   for (int i = 0; i < 4; ++i) {
     const float inc_loss = inc_opt.step(inc_mod);

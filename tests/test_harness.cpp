@@ -106,9 +106,9 @@ TEST(Harness, CellCacheRoundTrip) {
 TEST(Harness, CsvExportWritesAllCells) {
   std::vector<CellStats> cells(2);
   cells[0] = {"MPass", "MalConv", 10, 9, 90.0, 2.5, 110.0, 100.0, {}, 0,
-              0.0,     0.0,       {}};
+              0.0,     0.0};
   cells[1] = {"RLA", "MalConv", 10, 2, 20.0, 80.0, 400.0, 77.0, {}, 0,
-              0.0,   0.0,       {}};
+              0.0,   0.0};
   const auto path = util::cache_dir() / "results" / "unittest.csv";
   export_csv(path, cells);
   const auto data = util::load_file(path);

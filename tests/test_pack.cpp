@@ -44,17 +44,22 @@ TEST(Lzss, DecompressRejectsGarbage) {
 }
 
 // Property sweep: every packer preserves runtime behavior on every family.
+// The padding is an explicit zeroed member: gtest names each case after the
+// parameter's raw bytes, and implicit padding would leak uninitialised bytes
+// into the test names, making them change from run to run.
 struct PackCase {
   pack::PackerKind kind;
+  std::uint32_t pad = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(PackCase) == 16);
 
 class PackerPreserves : public ::testing::TestWithParam<PackCase> {};
 
 TEST_P(PackerPreserves, FunctionalityIntact) {
-  const auto [kind, seed] = GetParam();
-  const ByteBuf orig = corpus::make_malware(seed).bytes();
-  const auto packed = pack::pack(kind, orig);
+  const PackCase& c = GetParam();
+  const ByteBuf orig = corpus::make_malware(c.seed).bytes();
+  const auto packed = pack::pack(c.kind, orig);
   ASSERT_TRUE(packed.has_value());
   const vm::Sandbox sandbox;
   EXPECT_TRUE(sandbox.functionality_preserved(orig, *packed));
@@ -62,13 +67,13 @@ TEST_P(PackerPreserves, FunctionalityIntact) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, PackerPreserves,
-    ::testing::Values(PackCase{pack::PackerKind::UpxLike, 11},
-                      PackCase{pack::PackerKind::UpxLike, 12},
-                      PackCase{pack::PackerKind::UpxLike, 13},
-                      PackCase{pack::PackerKind::PespinLike, 11},
-                      PackCase{pack::PackerKind::PespinLike, 14},
-                      PackCase{pack::PackerKind::AspackLike, 11},
-                      PackCase{pack::PackerKind::AspackLike, 15}));
+    ::testing::Values(PackCase{pack::PackerKind::UpxLike, 0, 11},
+                      PackCase{pack::PackerKind::UpxLike, 0, 12},
+                      PackCase{pack::PackerKind::UpxLike, 0, 13},
+                      PackCase{pack::PackerKind::PespinLike, 0, 11},
+                      PackCase{pack::PackerKind::PespinLike, 0, 14},
+                      PackCase{pack::PackerKind::AspackLike, 0, 11},
+                      PackCase{pack::PackerKind::AspackLike, 0, 15}));
 
 TEST(Packer, CarriesCharacteristicArtifacts) {
   const ByteBuf orig = corpus::make_benign(21).bytes();

@@ -3,24 +3,17 @@
 //   mpass_trace check <dir>      validate every JSONL line + reconcile
 //                                query budgets (exit 1 on violations)
 //   mpass_trace summary <dir>    per-attack query-budget breakdown and
-//                                ensemble-loss curves; --spans adds the
-//                                top call-path self-times from spans.json
+//                                ensemble-loss curves
 //   mpass_trace diff <a> <b>     compare two metrics.json snapshots
 //
 // `--check` is accepted as an alias of `check` (CI convenience).
 #include <algorithm>
-#include <cctype>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace_check.hpp"
 #include "util/serialize.hpp"
 
@@ -34,7 +27,7 @@ using mpass::obs::TraceCheckReport;
 int usage() {
   std::fprintf(stderr,
                "usage: mpass_trace check <trace-dir>\n"
-               "       mpass_trace summary <trace-dir> [--spans [N]]\n"
+               "       mpass_trace summary <trace-dir>\n"
                "       mpass_trace diff <a/metrics.json> <b/metrics.json>\n");
   return 2;
 }
@@ -72,31 +65,7 @@ std::string loss_curve(const std::vector<SampleTraceData::Opt>& opts) {
   return out;
 }
 
-/// `summary --spans [N]`: top-N call-path self-times from the run's
-/// spans.json (written next to metrics.json by write_metrics_snapshot).
-int print_spans_section(const std::filesystem::path& dir, std::size_t top_n) {
-  const std::filesystem::path path = dir / "spans.json";
-  const auto blob = mpass::util::load_file(path);
-  if (!blob) {
-    std::printf("\n== spans ==\n(no spans.json in %s)\n",
-                dir.string().c_str());
-    return 0;
-  }
-  const auto doc = Json::parse(std::string_view(
-      reinterpret_cast<const char*>(blob->data()), blob->size()));
-  const auto rows = doc ? mpass::obs::parse_spans(*doc) : std::nullopt;
-  if (!rows) {
-    std::fprintf(stderr, "error: %s: not a valid spans document\n",
-                 path.string().c_str());
-    return 1;
-  }
-  std::printf("\n== spans (top %zu by self time) ==\n", top_n);
-  std::fputs(mpass::obs::render_span_top(*rows, top_n).c_str(), stdout);
-  return 0;
-}
-
-int run_summary(const std::filesystem::path& dir, bool spans,
-                std::size_t spans_n) {
+int run_summary(const std::filesystem::path& dir) {
   const TraceCheckReport rep = mpass::obs::check_trace_dir(dir);
   if (!rep.ok()) {
     for (const std::string& e : rep.errors)
@@ -167,13 +136,11 @@ int run_summary(const std::filesystem::path& dir, bool spans,
                 s.opts.size(), loss_curve(s.opts).c_str());
   }
   if (shown == 0) std::printf("(no optimizer traces)\n");
-  if (spans) return print_spans_section(dir, spans_n);
   return 0;
 }
 
 /// Loads a metrics.json snapshot into flat name -> value pairs
-/// (counters as-is, gauges, histogram .count/.sum), mirroring
-/// obs::Snapshot::flat().
+/// (counters as-is, gauges, histogram .count/.sum).
 std::optional<std::map<std::string, double>> load_metrics(
     const std::filesystem::path& path) {
   const auto blob = mpass::util::load_file(path);
@@ -238,18 +205,7 @@ int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string_view cmd = argv[1];
   if (cmd == "check" || cmd == "--check") return run_check(argv[2]);
-  if (cmd == "summary") {
-    bool spans = false;
-    std::size_t spans_n = 20;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--spans") == 0) {
-        spans = true;
-        if (i + 1 < argc && std::isdigit(static_cast<unsigned char>(argv[i + 1][0])))
-          spans_n = std::strtoull(argv[++i], nullptr, 10);
-      }
-    }
-    return run_summary(argv[2], spans, spans_n);
-  }
+  if (cmd == "summary") return run_summary(argv[2]);
   if (cmd == "diff") {
     if (argc < 4) return usage();
     return run_diff(argv[2], argv[3]);
