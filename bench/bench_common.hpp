@@ -14,7 +14,6 @@
 
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
@@ -82,32 +81,6 @@ inline void print_cell_timings(const std::vector<harness::CellStats>& cells) {
     if (c.wall_ms > 0.0)
       std::printf("  %-12s vs %-10s %8.0f ms %8.0f q/s\n", c.attack.c_str(),
                   c.target.c_str(), c.wall_ms, c.qps);
-}
-
-/// Prints the top scoped-timer histograms ("time.*") from the metrics
-/// registry, ranked by total time spent. Shows where the run's compute went
-/// (all near-zero when the grid was served from the result cache).
-inline void print_top_timers(std::size_t top_n = 8) {
-  const obs::Snapshot snap = obs::Registry::instance().snapshot();
-  struct Row {
-    std::string name;
-    std::uint64_t count;
-    double sum_ms;
-  };
-  std::vector<Row> rows;
-  for (const auto& [name, h] : snap.histograms)
-    if (name.rfind("time.", 0) == 0 && h.count > 0)
-      rows.push_back({name, h.count, h.sum});
-  if (rows.empty()) return;
-  std::sort(rows.begin(), rows.end(),
-            [](const Row& a, const Row& b) { return a.sum_ms > b.sum_ms; });
-  std::printf("top timers (this process):\n");
-  for (std::size_t i = 0; i < rows.size() && i < top_n; ++i)
-    std::printf("  %-28s %10llu calls %12.1f ms total %9.3f ms/call\n",
-                rows[i].name.c_str(),
-                static_cast<unsigned long long>(rows[i].count),
-                rows[i].sum_ms,
-                rows[i].sum_ms / static_cast<double>(rows[i].count));
 }
 
 /// Machine-readable per-bench report. Construct at the top of main, feed it

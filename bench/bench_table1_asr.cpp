@@ -15,7 +15,6 @@ int main() {
   std::printf("(n=%zu malware per cell, query budget %zu)\n", cfg.n_samples,
               cfg.max_queries);
   bench::print_cell_timings(cells);
-  bench::print_top_timers();
   std::printf(
       "Paper Table I (2000 samples, real PE corpus):\n"
       "  MalConv 98.6/33.7/94.2/81.8/94.3  NonNeg 99.2/35.4/93.6/90.2/97.0\n"

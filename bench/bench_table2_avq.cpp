@@ -12,7 +12,6 @@ int main() {
       "Table II: AVQ of attack methods on offline models", cells,
       bench::offline_targets(), bench::main_attacks(),
       [](const harness::CellStats& c) { return c.avq; });
-  bench::print_top_timers();
   std::printf(
       "Paper Table II:\n"
       "  MalConv 2.6/92.3/7.6/83.9/9.3   NonNeg 2.2/79.5/10.5/15.8/5.7\n"

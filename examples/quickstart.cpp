@@ -10,6 +10,7 @@
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
+#include "attack/attack.hpp"
 #include "core/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
@@ -43,8 +44,9 @@ int main() {
                      zoo.known_nets_excluding(target.name()));
   detect::HardLabelOracle oracle(target, /*max_queries=*/100);
   const core::MpassResult result = attack.run(original, oracle, /*seed=*/7);
+  const double apr = attack::apr_of(original.size(), result.adversarial.size());
   std::printf("attack: success=%d queries=%zu APR=%.0f%%\n", result.success,
-              result.queries, 100.0 * result.apr);
+              oracle.queries(), 100.0 * apr);
 
   // 4. The AE must evade *and* behave identically.
   if (result.success) {

@@ -10,11 +10,11 @@
 
 namespace mpass::attack {
 
+/// What only the attack knows. Query counts (AVQ) come from the oracle and
+/// APR from the returned bytes; the harness derives both.
 struct AttackResult {
   bool success = false;
   util::ByteBuf adversarial;  // best-effort output even on failure
-  std::size_t queries = 0;
-  double apr = 0.0;  // (|adv| - |orig|) / |orig|
 };
 
 class Attack {
@@ -39,7 +39,7 @@ class Attack {
   virtual std::unique_ptr<Attack> clone() const { return nullptr; }
 };
 
-/// Computes APR for a result.
+/// APR of an AE: (|adv| - |orig|) / |orig|, 0 for an empty original.
 double apr_of(std::size_t original_size, std::size_t adversarial_size);
 
 }  // namespace mpass::attack

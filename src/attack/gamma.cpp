@@ -56,7 +56,6 @@ AttackResult Gamma::run(std::span<const std::uint8_t> malware,
   } catch (const util::ParseError&) {
     // Unparseable input: no genome could ever be expressed, so spend no
     // queries (the old per-express parse failed identically every time).
-    result.apr = apr_of(malware.size(), result.adversarial.size());
     return result;
   }
 
@@ -127,7 +126,6 @@ AttackResult Gamma::run(std::span<const std::uint8_t> malware,
     if (better(scored, population[worst])) population[worst] = std::move(scored);
   }
 
-  result.apr = apr_of(malware.size(), result.adversarial.size());
   return result;
 }
 

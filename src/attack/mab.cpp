@@ -96,11 +96,9 @@ AttackResult Mab::run(std::span<const std::uint8_t> malware,
           }
         }
       }
-      result.apr = apr_of(malware.size(), result.adversarial.size());
       return result;
     }
   }
-  result.apr = apr_of(malware.size(), result.adversarial.size());
   return result;
 }
 

@@ -50,7 +50,6 @@ AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
                                               cfg_.growth));
     result.adversarial = std::move(sample);
   }
-  result.apr = apr_of(malware.size(), result.adversarial.size());
   return result;
 }
 

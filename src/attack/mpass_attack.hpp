@@ -34,13 +34,8 @@ class MpassAttack : public Attack {
   AttackResult run(std::span<const std::uint8_t> malware,
                    detect::HardLabelOracle& oracle,
                    std::uint64_t seed) override {
-    const core::MpassResult r = impl_.run(malware, oracle, seed);
-    AttackResult out;
-    out.success = r.success;
-    out.adversarial = r.adversarial;
-    out.queries = r.queries;
-    out.apr = r.apr;
-    return out;
+    core::MpassResult r = impl_.run(malware, oracle, seed);
+    return {r.success, std::move(r.adversarial)};
   }
 
   /// Deep copy: the clone owns fresh copies of the known models, so its

@@ -10,7 +10,6 @@ AttackResult ObfuscateAttack::run(std::span<const std::uint8_t> malware,
   auto packed = pack::pack(kind_, malware, {seed});
   if (!packed) return result;
   result.adversarial = std::move(*packed);
-  result.apr = apr_of(malware.size(), result.adversarial.size());
   result.success = !oracle.query(result.adversarial);
   return result;
 }

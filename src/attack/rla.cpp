@@ -54,12 +54,10 @@ AttackResult Rla::run(std::span<const std::uint8_t> malware,
       if (!detected) {
         result.success = true;
         result.adversarial = current;
-        result.apr = apr_of(malware.size(), current.size());
         return result;
       }
     }
   }
-  result.apr = apr_of(malware.size(), result.adversarial.size());
   return result;
 }
 

@@ -53,7 +53,6 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
   OBS_SCOPE("attack.mpass.run");
   util::Rng rng(seed);
   MpassResult result;
-  const std::size_t start_queries = oracle.queries();
   // Ensemble-loss trace: one "opt" event per optimizer step, numbered
   // monotonically across donors so the inspector can plot one loss curve
   // per sample.
@@ -83,7 +82,7 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
       try {
         candidate = apply_modification(malware, donor, cfg_.modification, rng);
       } catch (const util::ParseError&) {
-        return finish(result, oracle, start_queries);  // not a modifiable PE
+        return result;  // not a modifiable PE
       }
       const float score =
           can_optimize ? opt->ensemble_score(candidate.bytes) : 0.0f;
@@ -114,7 +113,6 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
     }
 
     result.adversarial = mod.bytes;
-    result.apr = mod.apr;
     if (!oracle.query(mod.bytes)) {
       result.success = true;
       break;
@@ -157,7 +155,6 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
       if (!oracle.query(mod.bytes)) {
         result.success = true;
         result.adversarial = mod.bytes;
-        result.apr = mod.apr;
         break;
       }
       ++donor_queries;
@@ -172,13 +169,6 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
     if (result.success) break;
   }
 
-  return finish(result, oracle, start_queries);
-}
-
-MpassResult& Mpass::finish(MpassResult& result,
-                           const detect::HardLabelOracle& oracle,
-                           std::size_t start_queries) {
-  result.queries = oracle.queries() - start_queries;
   return result;
 }
 

@@ -26,11 +26,11 @@ struct MpassConfig {
   bool random_content = false;   // Table VI ablation: random bytes at I
 };
 
+/// Query counts come from the oracle (HardLabelOracle::queries and
+/// first_evasion), APR from the returned bytes (attack::apr_of).
 struct MpassResult {
   bool success = false;
   util::ByteBuf adversarial;   // best-effort sample even on failure
-  std::size_t queries = 0;     // consumed from the oracle by this run
-  double apr = 0.0;
 };
 
 class Mpass {
@@ -52,10 +52,6 @@ class Mpass {
   std::span<ml::ByteConvNet* const> known() const { return known_; }
 
  private:
-  static MpassResult& finish(MpassResult& result,
-                             const detect::HardLabelOracle& oracle,
-                             std::size_t start_queries);
-
   MpassConfig cfg_;
   std::vector<util::ByteBuf> pool_;
   std::vector<ml::ByteConvNet*> known_;

@@ -44,14 +44,16 @@ class Detector {
 };
 
 /// Black-box query interface with a query budget/counter, shared by all
-/// attacks so AVQ is measured identically (paper §IV, "AVQ" metric).
+/// attacks so AVQ is measured identically (paper §IV, "AVQ" metric): the
+/// oracle, not the attack, is the only source of query accounting.
 class HardLabelOracle {
  public:
   explicit HardLabelOracle(const Detector& detector,
                            std::size_t max_queries = 100)
       : detector_(detector), max_queries_(max_queries) {}
 
-  /// Hard-label query; increments the counter.
+  /// Hard-label query; increments the counter and remembers the index of
+  /// the first benign verdict.
   /// Returns true if the detector flags the sample as malicious.
   /// Inside an obs::TraceScope, each query emits a trace event carrying the
   /// verdict and the underlying score -- the score is observability only
@@ -61,6 +63,7 @@ class HardLabelOracle {
     ++queries_;
     const double s = detector_.score(bytes);
     const bool malicious = s >= detector_.threshold();
+    if (!malicious && first_evasion_ == 0) first_evasion_ = queries_;
     if (obs::tracing())
       obs::Event("query")
           .uint("i", queries_)
@@ -70,6 +73,9 @@ class HardLabelOracle {
   }
 
   std::size_t queries() const { return queries_; }
+  /// 1-based index of the first query answered benign; 0 = never evaded.
+  /// The harness's AVQ input.
+  std::size_t first_evasion() const { return first_evasion_; }
   std::size_t max_queries() const { return max_queries_; }
   bool exhausted() const { return queries_ >= max_queries_; }
   std::string_view target_name() const { return detector_.name(); }
@@ -77,6 +83,7 @@ class HardLabelOracle {
  private:
   const Detector& detector_;
   std::size_t queries_ = 0;
+  std::size_t first_evasion_ = 0;
   std::size_t max_queries_;
 };
 

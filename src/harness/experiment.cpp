@@ -35,7 +35,7 @@ ExperimentConfig ExperimentConfig::from_env() {
 }
 
 std::uint64_t ExperimentConfig::digest() const {
-  std::uint64_t h = 10;  // bump to invalidate cached results
+  std::uint64_t h = 11;  // bump to invalidate cached results
   h = util::hash_combine(h, n_samples);
   h = util::hash_combine(h, max_queries);
   h = util::hash_combine(h, seed);
@@ -69,9 +69,9 @@ namespace {
 struct SampleOutcome {
   bool success = false;
   ByteBuf adversarial;            // kept only for successful AEs
-  std::uint64_t queries = 0;      // attack-reported (the paper's AVQ input)
+  std::uint64_t first_evasion = 0;  // oracle: first benign query (AVQ input)
   std::uint64_t total_queries = 0;  // oracle counter incl. failed runs
-  double apr = 0.0;
+  double apr = 0.0;                 // from the returned bytes
   bool functional = false;
   double ms = 0.0;  // attack compute time; not cached -- hits cost ~0
   // True when loaded from the per-sample cache (never serialized). Cache
@@ -106,7 +106,7 @@ void save_sample(const std::filesystem::path& path, const SampleOutcome& s) {
   ar.tag("sample");
   ar.u32(s.success ? 1 : 0);
   ar.bytes(s.adversarial);
-  ar.u64(s.queries);
+  ar.u64(s.first_evasion);
   ar.u64(s.total_queries);
   ar.f64(s.apr);
   ar.u32(s.functional ? 1 : 0);
@@ -122,7 +122,7 @@ std::optional<SampleOutcome> load_sample(const std::filesystem::path& path) {
     ar.tag("sample");
     s.success = ar.u32() != 0;
     s.adversarial = ar.bytes();
-    s.queries = ar.u64();
+    s.first_evasion = ar.u64();
     s.total_queries = ar.u64();
     s.apr = ar.f64();
     s.functional = ar.u32() != 0;
@@ -134,6 +134,8 @@ std::optional<SampleOutcome> load_sample(const std::filesystem::path& path) {
 
 /// Attacks one sample; the RNG stream is derived from (seed, sample digest)
 /// so the outcome is a pure function of (config, attack, target, sample).
+/// Every metric input comes from the oracle or the returned bytes; the
+/// attack only reports success and its AE.
 SampleOutcome attack_one(attack::Attack& atk, const detect::Detector& target,
                          const vm::Sandbox& sandbox,
                          std::span<const std::uint8_t> sample,
@@ -152,8 +154,8 @@ SampleOutcome attack_one(attack::Attack& atk, const detect::Detector& target,
   out.total_queries = oracle.queries();
   if (r.success) {
     out.success = true;
-    out.queries = r.queries;
-    out.apr = r.apr;
+    out.first_evasion = oracle.first_evasion();
+    out.apr = attack::apr_of(sample.size(), r.adversarial.size());
     // Paper §IV-A: verify AEs still show the original runtime behavior.
     if (sandbox.functionality_preserved(orig, r.adversarial)) {
       out.functional = true;
@@ -245,7 +247,8 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                                original_of(i), cfg, digests[i]);
   }
 
-  double sum_q = 0.0, sum_apr = 0.0;
+  std::uint64_t evasion_queries = 0;
+  double sum_apr = 0.0;
   std::size_t functional = 0, fresh = 0;
   for (SampleOutcome& out : outcomes) {
     stats.total_queries += out.total_queries;
@@ -253,7 +256,7 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
     if (!out.from_cache) ++fresh;
     if (!out.success) continue;
     ++stats.successes;
-    sum_q += static_cast<double>(out.queries);
+    evasion_queries += out.first_evasion;
     sum_apr += out.apr;
     if (out.functional) {
       ++functional;
@@ -264,7 +267,8 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
     stats.asr = 100.0 * static_cast<double>(stats.successes) /
                 static_cast<double>(stats.n);
   if (stats.successes > 0) {
-    stats.avq = sum_q / static_cast<double>(stats.successes);
+    stats.avq = static_cast<double>(evasion_queries) /
+                static_cast<double>(stats.successes);
     stats.apr = 100.0 * sum_apr / static_cast<double>(stats.successes);
     stats.functional = 100.0 * static_cast<double>(functional) /
                        static_cast<double>(stats.successes);
@@ -279,8 +283,10 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
   if (!std::isfinite(stats.qps)) stats.qps = 0.0;
   if (obs::trace_dir()) {
     // Reconciliation anchor for tools/mpass_trace --check: when traced == n
-    // every sample left a fresh trace file and the sum of their end.queries
-    // must equal total_queries; cells with cache hits cannot reconcile.
+    // every sample left a fresh trace file, the sum of their end.queries
+    // must equal total_queries and the sum of their first benign query
+    // indices over successes must equal evasion_queries; cells with cache
+    // hits cannot reconcile.
     obs::JsonLine line;
     line.str("ev", "cell")
         .str("attack", stats.attack)
@@ -288,6 +294,8 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
         .uint("n", stats.n)
         .uint("traced", fresh)
         .uint("total_queries", stats.total_queries)
+        .uint("successes", stats.successes)
+        .uint("evasion_queries", evasion_queries)
         .num("wall_ms", stats.wall_ms);
     obs::append_run_line("cells.jsonl", line.take());
   }

@@ -36,7 +36,11 @@ struct CellStats {
   std::size_t n = 0;             // samples attacked
   std::size_t successes = 0;     // bypassing AEs
   double asr = 0.0;              // successes / n (percent)
-  double avq = 0.0;              // mean queries over successful AEs
+  // Mean over successful AEs of the oracle's first-evasion index: queries
+  // up to and including the first benign verdict. Queries an attack spends
+  // after that (MAB's minimization, GAMMA's remaining population) count in
+  // total_queries but not here. MPass stops at its first evasion.
+  double avq = 0.0;
   double apr = 0.0;              // mean APR (percent) over successful AEs
   double functional = 0.0;       // % of successful AEs passing the sandbox
   std::vector<util::ByteBuf> aes;  // functional successful AEs (Fig. 4 input)

@@ -4,6 +4,7 @@
 #include <bit>
 #include <mutex>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -41,12 +42,10 @@ struct Shard {
 };
 
 struct MetricDesc {
-  enum Kind { kCounter, kGauge, kHistogram };
+  enum Kind { kCounter, kGauge };
   std::string name;
   Kind kind = kCounter;
-  std::size_t slot = 0;     // first shard slot (counter/histogram)
-  std::size_t n_slots = 0;  // counter: 1; histogram: buckets + count + sum
-  std::vector<double> bounds;
+  std::size_t slot = 0;  // counter: its shard slot
   // Gauges are last-write-wins, not additive, so they live here (double
   // bits) rather than in the per-thread shards.
   std::unique_ptr<std::atomic<std::uint64_t>> gauge_bits;
@@ -70,15 +69,10 @@ struct Registry::Core {
 
   Core() { descs.reserve(kMaxMetrics); }
 
-  MetricId register_metric(std::string_view name, MetricDesc::Kind kind,
-                           std::span<const double> bounds) {
+  MetricId register_metric(std::string_view name, MetricDesc::Kind kind) {
     std::lock_guard<std::mutex> lk(mu);
     if (const auto it = by_name.find(name); it != by_name.end()) {
-      const MetricDesc& d = descs[it->second];
-      if (d.kind != kind ||
-          (kind == MetricDesc::kHistogram &&
-           !std::equal(d.bounds.begin(), d.bounds.end(), bounds.begin(),
-                       bounds.end())))
+      if (descs[it->second].kind != kind)
         throw std::invalid_argument("obs: metric '" + std::string(name) +
                                     "' re-registered with a different type");
       return it->second;
@@ -92,12 +86,7 @@ struct Registry::Core {
       d.gauge_bits =
           std::make_unique<std::atomic<std::uint64_t>>(double_to_bits(0.0));
     } else {
-      d.slot = slots_used;
-      d.n_slots = kind == MetricDesc::kCounter
-                      ? 1
-                      : bounds.size() + 1 /*overflow bucket*/ + 2 /*count,sum*/;
-      d.bounds.assign(bounds.begin(), bounds.end());
-      slots_used += d.n_slots;
+      d.slot = slots_used++;
     }
     const auto id = static_cast<MetricId>(descs.size());
     descs.push_back(std::move(d));
@@ -110,19 +99,8 @@ struct Registry::Core {
     std::lock_guard<std::mutex> lk(mu);
     const std::size_t n = std::min(s->capacity, slots_used);
     if (retired.size() < n) retired.resize(n, 0);
-    // Sum slots add; histogram sum slots are double bits and need fp math.
-    std::vector<bool> is_sum(n, false);
-    for (const MetricDesc& d : descs)
-      if (d.kind == MetricDesc::kHistogram && d.slot + d.n_slots <= n)
-        is_sum[d.slot + d.n_slots - 1] = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t v = s->slots[i].load(std::memory_order_relaxed);
-      if (is_sum[i])
-        retired[i] = double_to_bits(bits_to_double(retired[i]) +
-                                    bits_to_double(v));
-      else
-        retired[i] += v;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      retired[i] += s->slots[i].load(std::memory_order_relaxed);
     shards.erase(std::remove(shards.begin(), shards.end(), s), shards.end());
   }
 };
@@ -161,16 +139,11 @@ Registry& Registry::instance() {
 }
 
 MetricId Registry::counter(std::string_view name) {
-  return core_->register_metric(name, MetricDesc::kCounter, {});
+  return core_->register_metric(name, MetricDesc::kCounter);
 }
 
 MetricId Registry::gauge(std::string_view name) {
-  return core_->register_metric(name, MetricDesc::kGauge, {});
-}
-
-MetricId Registry::histogram(std::string_view name,
-                             std::span<const double> bounds) {
-  return core_->register_metric(name, MetricDesc::kHistogram, bounds);
+  return core_->register_metric(name, MetricDesc::kGauge);
 }
 
 void Registry::gauge_callback(std::string_view name,
@@ -196,23 +169,6 @@ void Registry::set(MetricId id, double value) noexcept {
                                      std::memory_order_relaxed);
 }
 
-void Registry::observe(MetricId id, double value) noexcept {
-  const MetricDesc& d = core_->descs[id];
-  Shard& s = tls_shard(core_);
-  s.ensure(d.slot + d.n_slots);
-  // Bucket: first bound >= value; the last bucket catches everything else.
-  const std::size_t n_buckets = d.bounds.size() + 1;
-  std::size_t b = 0;
-  while (b < d.bounds.size() && value > d.bounds[b]) ++b;
-  s.slots[d.slot + b].fetch_add(1, std::memory_order_relaxed);
-  s.slots[d.slot + n_buckets].fetch_add(1, std::memory_order_relaxed);
-  // Sum slot: double bits, single writer (this thread), so plain RMW.
-  std::atomic<std::uint64_t>& sum = s.slots[d.slot + n_buckets + 1];
-  sum.store(double_to_bits(
-                bits_to_double(sum.load(std::memory_order_relaxed)) + value),
-            std::memory_order_relaxed);
-}
-
 Snapshot Registry::snapshot() const {
   Core& c = *core_;
   Snapshot out;
@@ -221,47 +177,21 @@ Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lk(c.mu);
 
   std::vector<std::uint64_t> acc(c.slots_used, 0);
-  std::vector<bool> is_sum(c.slots_used, false);
-  for (const MetricDesc& d : c.descs)
-    if (d.kind == MetricDesc::kHistogram)
-      is_sum[d.slot + d.n_slots - 1] = true;
-  auto fold = [&](std::size_t i, std::uint64_t v) {
-    if (is_sum[i])
-      acc[i] = double_to_bits(bits_to_double(acc[i]) + bits_to_double(v));
-    else
-      acc[i] += v;
-  };
   for (std::size_t i = 0; i < std::min(c.retired.size(), c.slots_used); ++i)
-    fold(i, c.retired[i]);
+    acc[i] += c.retired[i];
   for (const Shard* s : c.shards) {
     std::lock_guard<std::mutex> slk(s->mu);
     const std::size_t n = std::min(s->capacity, c.slots_used);
     for (std::size_t i = 0; i < n; ++i)
-      fold(i, s->slots[i].load(std::memory_order_relaxed));
+      acc[i] += s->slots[i].load(std::memory_order_relaxed);
   }
 
   for (const MetricDesc& d : c.descs) {
-    switch (d.kind) {
-      case MetricDesc::kCounter:
-        out.counters[d.name] = acc[d.slot];
-        break;
-      case MetricDesc::kGauge:
-        out.gauges[d.name] =
-            bits_to_double(d.gauge_bits->load(std::memory_order_relaxed));
-        break;
-      case MetricDesc::kHistogram: {
-        Snapshot::Histogram h;
-        h.bounds = d.bounds;
-        const std::size_t n_buckets = d.bounds.size() + 1;
-        h.buckets.assign(n_buckets, 0);
-        for (std::size_t b = 0; b < n_buckets; ++b)
-          h.buckets[b] = acc[d.slot + b];
-        h.count = acc[d.slot + n_buckets];
-        h.sum = bits_to_double(acc[d.slot + n_buckets + 1]);
-        out.histograms[d.name] = std::move(h);
-        break;
-      }
-    }
+    if (d.kind == MetricDesc::kCounter)
+      out.counters[d.name] = acc[d.slot];
+    else
+      out.gauges[d.name] =
+          bits_to_double(d.gauge_bits->load(std::memory_order_relaxed));
   }
   for (const auto& [name, fn] : c.callbacks) out.gauges[name] = fn();
   return out;
@@ -290,40 +220,8 @@ std::string Snapshot::to_json() const {
     s += "\":";
     json_number(s, v);
   }
-  s += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    if (!first) s += ',';
-    first = false;
-    s += '"';
-    json_escape(s, name);
-    s += "\":{\"bounds\":[";
-    for (std::size_t i = 0; i < h.bounds.size(); ++i) {
-      if (i) s += ',';
-      json_number(s, h.bounds[i]);
-    }
-    s += "],\"buckets\":[";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i) s += ',';
-      json_number(s, static_cast<double>(h.buckets[i]));
-    }
-    s += "],\"count\":";
-    json_number(s, static_cast<double>(h.count));
-    s += ",\"sum\":";
-    json_number(s, h.sum);
-    s += '}';
-  }
   s += "}}";
   return s;
-}
-
-// ---- timers -----------------------------------------------------------------
-
-std::span<const double> time_bounds() {
-  static const double kBounds[] = {0.01, 0.03, 0.1,  0.3,   1.0,   3.0,  10.0,
-                                   30.0, 100., 300., 1000., 3000., 10000.,
-                                   30000.};
-  return kBounds;
 }
 
 }  // namespace mpass::obs

@@ -95,10 +95,9 @@ struct PathNode {
 
 struct SpanCore {
   mutable std::mutex mu;
-  // site id -> (name, flat "time.<name>" histogram). reserve()d; elements
-  // are written once before their id is published, so readers holding an
-  // id index without the lock.
-  std::vector<std::pair<std::string, MetricId>> sites;
+  // site id -> name. reserve()d; elements are written once before their id
+  // is published, so readers holding an id index without the lock.
+  std::vector<std::string> sites;
   std::map<std::string, std::uint32_t, std::less<>> site_by_name;
   std::vector<PathNode> paths;  // paths[0] = root
   std::map<std::uint64_t, std::uint32_t> path_by_key;  // parent<<32|site
@@ -131,11 +130,8 @@ struct SpanCore {
       return it->second;
     if (sites.size() >= kMaxSites)
       throw std::length_error("obs: span site table full");
-    std::string hist = "time.";
-    hist += name;
-    const MetricId mid = Registry::instance().histogram(hist, time_bounds());
     const auto id = static_cast<std::uint32_t>(sites.size());
-    sites.emplace_back(std::string(name), mid);
+    sites.emplace_back(name);
     site_by_name.emplace(std::string(name), id);
     return id;
   }
@@ -192,7 +188,6 @@ std::shared_ptr<SpanCore>& core_ref() {
 struct Frame {
   std::uint32_t path = kRootPath;
   std::uint32_t parent = kRootPath;
-  std::uint32_t site = 0;
   std::uint64_t t0 = 0;
 };
 
@@ -247,9 +242,6 @@ void pop_frame(SpanTls& t) {
                                                 std::memory_order_relaxed);
   s.slots[f.parent * kSlotsPerPath + 2].fetch_add(dur,
                                                   std::memory_order_relaxed);
-  // Flat per-site histogram, same series the old ScopedTimer fed.
-  Registry::instance().observe(t.core->sites[f.site].second,
-                               static_cast<double>(dur) / 1e6);
   if (g_profiling.load(std::memory_order_relaxed))
     s.record_event(
         {ProfileEvent::kComplete, t.tid, f.path, f.t0, dur, /*flow=*/0});
@@ -277,8 +269,7 @@ Span::Span(SpanSiteId site) noexcept {
   SpanTls& t = tls();
   const std::uint32_t parent =
       t.stack.empty() ? kRootPath : t.stack.back().path;
-  t.stack.push_back(Frame{cached_path(t, parent, site), parent, site,
-                          now_ns()});
+  t.stack.push_back(Frame{cached_path(t, parent, site), parent, now_ns()});
 }
 
 Span::~Span() { pop_frame(tls()); }
@@ -310,7 +301,7 @@ SpanTaskScope::SpanTaskScope(const SpanHandoff& h) noexcept {
   if (h.flow && g_profiling.load(std::memory_order_relaxed))
     t.shard->record_event(
         {ProfileEvent::kFlowFinish, t.tid, /*path=*/0, t0, /*dur=*/0, h.flow});
-  t.stack.push_back(Frame{cached_path(t, h.path, site), h.path, site, t0});
+  t.stack.push_back(Frame{cached_path(t, h.path, site), h.path, t0});
   active_ = true;
 }
 
@@ -342,7 +333,7 @@ std::vector<SpanRow> span_snapshot() {
   std::vector<std::uint32_t> depths(c.paths.size(), 0);
   for (std::size_t id = 1; id < c.paths.size(); ++id) {
     const PathNode& node = c.paths[id];
-    const std::string& site = c.sites[node.site].first;
+    const std::string& site = c.sites[node.site];
     if (node.parent == kRootPath) {
       names[id] = site;
       depths[id] = 1;
@@ -434,7 +425,7 @@ void append_chrome_event(std::string& out, bool& first,
     case ProfileEvent::kComplete: {
       const PathNode& node = c.paths[ev.path];
       out += "{\"ph\":\"X\",\"name\":";
-      out += json_quote(c.sites[node.site].first);
+      out += json_quote(c.sites[node.site]);
       out += ",\"cat\":\"span\",\"pid\":1,\"tid\":";
       std::snprintf(buf, sizeof(buf), "%u,\"ts\":", ev.tid);
       out += buf;
@@ -488,8 +479,8 @@ void flush_profile() {
   for (std::size_t id = 1; id < c.paths.size(); ++id) {
     const PathNode& node = c.paths[id];
     names[id] = node.parent == kRootPath
-                    ? c.sites[node.site].first
-                    : names[node.parent] + "/" + c.sites[node.site].first;
+                    ? c.sites[node.site]
+                    : names[node.parent] + "/" + c.sites[node.site];
   }
 
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";

@@ -1,11 +1,10 @@
-// Hierarchical span profiler layered on the metrics registry.
+// Hierarchical span profiler: the repository's one timing path.
 //
 // Every OBS_SCOPE site is a *span*: a node in the calling thread's call-path
-// tree. Where the flat "time.<scope>" histograms answer "how long does
-// pe.parse take?", spans answer "how much of harness.run_cell's time is
-// pe.parse, and how much is its own?" -- total time and self time are
-// accumulated per *call path* (e.g. "harness.run_cell/pool.task/
-// attack.mpass.run/pe.parse"), not per site.
+// tree. Spans answer "how much of harness.run_cell's time is pe.parse, and
+// how much is its own?" -- total time and self time are accumulated per
+// *call path* (e.g. "harness.run_cell/pool.task/attack.mpass.run/
+// pe.parse"), not per site.
 //
 // Design (mirrors obs::Metrics):
 //   * Sites and call paths are interned once under a core mutex; the hot
@@ -35,8 +34,8 @@
 // Profiling sink: MPASS_PROFILE=<file> records one Chrome trace-event
 // "complete" event per span pop (plus flow arrows and thread names) and
 // writes Perfetto-loadable JSON at flush_profile() / process exit. With the
-// variable unset, no events are recorded and the only cost over the old
-// flat timers is the span-stack bookkeeping.
+// variable unset, no events are recorded and the only cost is the
+// span-stack bookkeeping.
 #pragma once
 
 #include <cstdint>
@@ -46,19 +45,17 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/metrics.hpp"
-
 namespace mpass::obs {
 
 using SpanSiteId = std::uint32_t;
 
-/// Interns a span site name and registers the matching flat "time.<name>"
-/// histogram (the OBS_SCOPE macro caches the id in a function-local static).
+/// Interns a span site name (the OBS_SCOPE macro caches the id in a
+/// function-local static).
 SpanSiteId span_site(std::string_view name);
 
 /// RAII span: pushes the site onto the calling thread's span stack; the
-/// destructor pops it, accumulating (count, total, child) for the call path
-/// and observing the flat "time.<name>" histogram.
+/// destructor pops it, accumulating (count, total, child) for the call
+/// path.
 class Span {
  public:
   explicit Span(SpanSiteId site) noexcept;
@@ -70,8 +67,8 @@ class Span {
 #define MPASS_OBS_CONCAT2(a, b) a##b
 #define MPASS_OBS_CONCAT(a, b) MPASS_OBS_CONCAT2(a, b)
 
-/// Times the enclosing scope as a hierarchical span (and into the flat
-/// "time.<name>" histogram). One-time registration per call site.
+/// Times the enclosing scope as a hierarchical span. One-time registration
+/// per call site.
 #define OBS_SCOPE(name)                                              \
   static const ::mpass::obs::SpanSiteId MPASS_OBS_CONCAT(            \
       obs_scope_site_, __LINE__) = ::mpass::obs::span_site(name);    \

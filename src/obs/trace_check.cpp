@@ -123,6 +123,8 @@ std::optional<SampleTraceData> parse_sample_trace(
       if (q.score < 0.0 || q.score > 1.0)
         add_error(errors, where, line_no, "query score outside [0,1]");
       out.queries.push_back(q);
+      if (!q.malicious && out.first_evasion == 0)
+        out.first_evasion = out.queries.size();
     } else if (ev == "opt") {
       SampleTraceData::Opt o;
       double iter = 0;
@@ -156,6 +158,9 @@ std::optional<SampleTraceData> parse_sample_trace(
                   "end.queries=" + std::to_string(out.end_queries) +
                       " != emitted query events (" +
                       std::to_string(out.queries.size()) + ")");
+      if (out.success && out.first_evasion == 0)
+        add_error(errors, where, line_no,
+                  "end.success without a benign query");
     } else {
       add_error(errors, where, line_no, "unknown event \"" + ev + "\"");
     }
@@ -221,12 +226,14 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
         }
         if (name == "cells.jsonl") {
           CellTraceData c;
-          double n = 0, traced = 0, tq = 0;
+          double n = 0, traced = 0, tq = 0, successes = 0, eq = 0;
           if (ev != "cell" || !want_str(*parsed, "attack", &c.attack) ||
               !want_str(*parsed, "target", &c.target) ||
               !want_num(*parsed, "n", &n) ||
               !want_num(*parsed, "traced", &traced) ||
               !want_num(*parsed, "total_queries", &tq) ||
+              !want_num(*parsed, "successes", &successes) ||
+              !want_num(*parsed, "evasion_queries", &eq) ||
               !want_num(*parsed, "wall_ms", &c.wall_ms)) {
             add_error(&rep.errors, name, line_no, "bad \"cell\" line");
             continue;
@@ -234,6 +241,8 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
           c.n = static_cast<std::uint64_t>(n);
           c.traced = static_cast<std::uint64_t>(traced);
           c.total_queries = static_cast<std::uint64_t>(tq);
+          c.successes = static_cast<std::uint64_t>(successes);
+          c.evasion_queries = static_cast<std::uint64_t>(eq);
           rep.data.cells.push_back(std::move(c));
         } else {
           const Json* ranking = parsed->get("ranking");
@@ -260,27 +269,31 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
     const std::optional<std::string> text = read_text(dir / "metrics.json");
     const std::optional<Json> parsed =
         text ? Json::parse(*text) : std::nullopt;
-    if (!parsed || !parsed->is_object() || !parsed->get("counters") ||
-        !parsed->get("histograms"))
+    if (!parsed || !parsed->is_object() || !parsed->get("counters"))
       rep.errors.push_back("metrics.json: malformed snapshot");
     else
       rep.data.has_metrics = true;
   }
 
-  // Query-budget reconciliation: per (attack, target), the *last* cell line
-  // wins (re-runs append). Only fully traced cells (traced == n and all n
-  // sample files present) are reconcilable -- cache hits execute nothing
-  // and leave no fresh trace.
+  // Query-budget and AVQ reconciliation: per (attack, target), the *last*
+  // cell line wins (re-runs append). Only fully traced cells (traced == n
+  // and all n sample files present) are reconcilable -- cache hits execute
+  // nothing and leave no fresh trace.
   std::map<std::pair<std::string, std::string>, const CellTraceData*> last;
   for (const CellTraceData& c : rep.data.cells)
     last[{c.attack, c.target}] = &c;
-  std::map<std::pair<std::string, std::string>,
-           std::pair<std::uint64_t, std::uint64_t>>
-      sums;  // (files, sum of end_queries)
+  struct Sums {
+    std::uint64_t files = 0, queries = 0, successes = 0, evasion_queries = 0;
+  };
+  std::map<std::pair<std::string, std::string>, Sums> sums;
   for (const SampleTraceData& s : rep.data.samples) {
-    auto& [n_files, q] = sums[{s.attack, s.target}];
-    ++n_files;
-    q += s.end_queries;
+    Sums& sum = sums[{s.attack, s.target}];
+    ++sum.files;
+    sum.queries += s.end_queries;
+    if (s.success) {
+      ++sum.successes;
+      sum.evasion_queries += s.first_evasion;
+    }
   }
   for (const auto& [key, cell] : last) {
     if (cell->traced != cell->n) {
@@ -290,20 +303,27 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
       continue;
     }
     const auto it = sums.find(key);
-    const std::uint64_t n_files = it == sums.end() ? 0 : it->second.first;
-    const std::uint64_t q = it == sums.end() ? 0 : it->second.second;
-    if (n_files != cell->n) {
-      rep.errors.push_back("cell " + key.first + " x " + key.second +
-                           ": traced=" + std::to_string(cell->traced) +
-                           " but " + std::to_string(n_files) +
+    const Sums sum = it == sums.end() ? Sums{} : it->second;
+    const std::string where = "cell " + key.first + " x " + key.second + ": ";
+    if (sum.files != cell->n) {
+      rep.errors.push_back(where + "traced=" + std::to_string(cell->traced) +
+                           " but " + std::to_string(sum.files) +
                            " sample trace files");
       continue;
     }
-    if (q != cell->total_queries)
-      rep.errors.push_back(
-          "cell " + key.first + " x " + key.second + ": sample query sum " +
-          std::to_string(q) + " != cell total_queries " +
-          std::to_string(cell->total_queries));
+    const auto mismatch = [&](const char* what, std::uint64_t traced,
+                              const char* field, std::uint64_t cell_value) {
+      if (traced != cell_value)
+        rep.errors.push_back(where + what + " " + std::to_string(traced) +
+                             " != cell " + field + " " +
+                             std::to_string(cell_value));
+    };
+    mismatch("sample query sum", sum.queries, "total_queries",
+             cell->total_queries);
+    mismatch("successful samples", sum.successes, "successes",
+             cell->successes);
+    mismatch("first-evasion sum", sum.evasion_queries, "evasion_queries",
+             cell->evasion_queries);
   }
 
   return rep;

@@ -29,6 +29,7 @@ struct SampleTraceData {
   std::vector<Query> queries;
   std::vector<Opt> opts;
   std::size_t actions = 0;
+  std::uint64_t first_evasion = 0;  // i of the first benign query; 0 = none
 
   bool has_end = false;
   bool success = false;
@@ -44,6 +45,8 @@ struct CellTraceData {
   std::uint64_t n = 0;
   std::uint64_t traced = 0;  // samples executed (not served from cache)
   std::uint64_t total_queries = 0;
+  std::uint64_t successes = 0;
+  std::uint64_t evasion_queries = 0;  // sum of first evasions of successes
   double wall_ms = 0.0;
 };
 
@@ -69,8 +72,9 @@ struct TraceCheckReport {
 /// Parses one per-sample JSONL payload. Appends human-readable messages to
 /// `errors` (prefixed with `where`) for every violation: malformed JSON,
 /// unknown "ev", missing/ill-typed fields, missing start/end framing,
-/// non-contiguous query indices, non-increasing opt iterations, or an "end"
-/// whose query count disagrees with the emitted query events.
+/// non-contiguous query indices, non-increasing opt iterations, an "end"
+/// whose query count disagrees with the emitted query events, or an "end"
+/// claiming success with no benign query before it.
 std::optional<SampleTraceData> parse_sample_trace(
     std::string_view text, std::string_view where,
     std::vector<std::string>* errors);
@@ -78,8 +82,10 @@ std::optional<SampleTraceData> parse_sample_trace(
 /// Loads and validates a whole trace directory: every *.jsonl line must
 /// satisfy the schema, and for every cell whose samples were all executed
 /// in this run (traced == n and all n files present), the sum of per-sample
-/// query counts must equal the cell's total_queries (the CellStats
-/// reconciliation of docs/OBSERVABILITY.md).
+/// query counts must equal the cell's total_queries, and the successful
+/// samples' count and summed first-evasion indices must equal the cell's
+/// successes and evasion_queries (the CellStats reconciliation of
+/// docs/OBSERVABILITY.md).
 TraceCheckReport check_trace_dir(const std::filesystem::path& dir);
 
 }  // namespace mpass::obs

@@ -1,5 +1,6 @@
 // Tests for the attack baselines: action set semantics, RLA/MAB/GAMMA/
-// MalRNN behavior against controllable detectors, obfuscator attacks.
+// MalRNN behavior against controllable detectors, obfuscator attacks, and
+// the harness's oracle-derived AVQ for each of them.
 #include <gtest/gtest.h>
 
 #include "attack/actions.hpp"
@@ -9,6 +10,7 @@
 #include "attack/obfuscate.hpp"
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
+#include "harness/experiment.hpp"
 #include "pe/pe.hpp"
 #include "vm/sandbox.hpp"
 
@@ -132,8 +134,6 @@ TEST(Baselines, MabBeatsSizeDetector) {
   const AttackResult r = mab.run(sample, oracle, 3);
   EXPECT_TRUE(r.success);
   EXPECT_GE(r.adversarial.size(), sample.size() + 4096);
-  EXPECT_GT(r.apr, 0.0);
-  EXPECT_EQ(r.queries, 0u);  // run_cell computes queries via the oracle
   EXPECT_LE(oracle.queries(), 100u);
 }
 
@@ -207,6 +207,71 @@ TEST(Baselines, MalRnnAppendsGrowingChunks) {
   const vm::Sandbox sandbox;
   EXPECT_TRUE(sandbox.functionality_preserved(sample, r.adversarial));
 }
+
+// ---- harness AVQ per attack --------------------------------------------------
+
+std::unique_ptr<Attack> make_baseline(std::string_view name,
+                                      std::span<const ByteBuf> pool,
+                                      ml::GruLm& lm) {
+  if (name == "RLA") return std::make_unique<Rla>(RlaConfig{}, pool);
+  if (name == "MAB") return std::make_unique<Mab>(MabConfig{}, pool);
+  if (name == "GAMMA") return std::make_unique<Gamma>(GammaConfig{}, pool);
+  if (name == "MalRNN") return std::make_unique<MalRnn>(MalRnnConfig{}, lm);
+  return std::make_unique<ObfuscateAttack>(pack::PackerKind::PespinLike);
+}
+
+struct AvqCase {
+  std::string_view attack;
+  // Bytes an AE must grow past the largest sample to evade. 0: the
+  // detector flags nothing, since a packed file need not outgrow anything.
+  std::size_t margin;
+};
+
+// Stable test names: gtest would otherwise print the struct's raw bytes.
+void PrintTo(const AvqCase& c, std::ostream* os) {
+  *os << c.attack << " margin " << c.margin;
+}
+
+class HarnessAvq : public ::testing::TestWithParam<AvqCase> {};
+
+// AVQ comes from the oracle's first benign verdict, so every attack that
+// succeeds has 1 <= AVQ <= budget, whether or not it counts its queries.
+TEST_P(HarnessAvq, SuccessImpliesAvqWithinBudget) {
+  const auto pool = tiny_pool();
+  ml::GruLm lm(ml::GruLmConfig{}, 3);
+  const std::unique_ptr<Attack> atk =
+      make_baseline(GetParam().attack, pool, lm);
+  std::vector<ByteBuf> samples;
+  std::size_t largest = 0;
+  for (int i = 0; i < 4; ++i) {
+    samples.push_back(corpus::make_malware(3800 + i).bytes());
+    largest = std::max(largest, samples.back().size());
+  }
+  const SizeDetector det(GetParam().margin ? largest + GetParam().margin
+                                           : 1);
+  harness::ExperimentConfig cfg;
+  cfg.max_queries = 30;
+  const harness::CellStats stats =
+      harness::run_cell(*atk, det, samples, samples, cfg);
+  ASSERT_GT(stats.successes, 0u);
+  EXPECT_GE(stats.avq, 1.0);
+  EXPECT_LE(stats.avq, 30.0);
+  // MAB keeps querying after its first evasion to minimize the AE; those
+  // queries count in total_queries but not in AVQ.
+  if (GetParam().attack == "MAB") {
+    EXPECT_LT(stats.avq * static_cast<double>(stats.successes),
+              static_cast<double>(stats.total_queries));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Attacks, HarnessAvq,
+    ::testing::Values(AvqCase{"RLA", 4096}, AvqCase{"MAB", 4096},
+                      AvqCase{"GAMMA", 4096}, AvqCase{"MalRNN", 4096},
+                      AvqCase{"PESpin", 0}),
+    [](const ::testing::TestParamInfo<AvqCase>& info) {
+      return std::string(info.param.attack);
+    });
 
 TEST(Baselines, AprAccounting) {
   EXPECT_DOUBLE_EQ(apr_of(100, 150), 0.5);

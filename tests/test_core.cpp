@@ -320,7 +320,9 @@ TEST_F(TinyNetFixture, WhiteBoxAttackSucceeds) {
     detect::HardLabelOracle oracle(*det_, 100);
     const MpassResult r = attack.run(sample, oracle, 5);
     EXPECT_TRUE(r.success);
-    EXPECT_GE(r.queries, 1u);
+    EXPECT_GE(oracle.queries(), 1u);
+    // MPass stops at its first evasion.
+    EXPECT_EQ(oracle.first_evasion(), oracle.queries());
     if (r.success) {
       EXPECT_FALSE(det_->is_malicious(r.adversarial));
       const vm::Sandbox sandbox;
@@ -353,7 +355,8 @@ TEST(Mpass, RandomContentModeQueriesUntilBudget) {
   const ByteBuf sample = corpus::make_malware(4242).bytes();
   const MpassResult r = attack.run(sample, oracle, 1);
   EXPECT_FALSE(r.success);
-  EXPECT_EQ(r.queries, 10u);
+  EXPECT_EQ(oracle.queries(), 10u);
+  EXPECT_EQ(oracle.first_evasion(), 0u);
 }
 
 }  // namespace

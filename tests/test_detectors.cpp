@@ -76,6 +76,24 @@ TEST(Detectors, HardLabelOracleCountsQueries) {
   oracle.query(x);
   oracle.query(x);
   EXPECT_TRUE(oracle.exhausted());
+  EXPECT_EQ(oracle.first_evasion(), 0u);  // never answered benign
+}
+
+TEST(Detectors, HardLabelOracleRecordsFirstEvasion) {
+  // Verdict = first byte: nonzero files are malicious.
+  class FirstByte : public Detector {
+   public:
+    std::string_view name() const override { return "first-byte"; }
+    double score(std::span<const std::uint8_t> b) const override {
+      return b[0] ? 1.0 : 0.0;
+    }
+  };
+  FirstByte det;
+  HardLabelOracle oracle(det, 10);
+  const ByteBuf mal(4, 1), ben(4, 0);
+  for (const ByteBuf* x : {&mal, &mal, &ben, &mal, &ben}) oracle.query(*x);
+  EXPECT_EQ(oracle.queries(), 5u);
+  EXPECT_EQ(oracle.first_evasion(), 3u);  // later benign verdicts ignored
 }
 
 TEST(Detectors, TinyNetTrainsAboveChance) {

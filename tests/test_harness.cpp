@@ -2,7 +2,10 @@
 // result-cache round-trips.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "harness/experiment.hpp"
+#include "util/hashing.hpp"
 
 namespace mpass::harness {
 namespace {
@@ -20,8 +23,25 @@ class SizeDetector : public detect::Detector {
   std::size_t threshold_;
 };
 
-/// Scripted attack: succeeds on every other sample using a fixed number of
-/// queries, never produces a functional check failure (AE = original).
+/// Flags the first `k` queries of every distinct file, then lets it pass:
+/// the first benign verdict for each file is query k + 1.
+class FlagsFirstQueries : public detect::Detector {
+ public:
+  explicit FlagsFirstQueries(std::size_t k) : k_(k) {}
+  std::string_view name() const override { return "flags-first"; }
+  double score(std::span<const std::uint8_t> bytes) const override {
+    return ++seen_[util::fnv1a64(bytes)] <= k_ ? 1.0 : 0.0;
+  }
+ private:
+  std::size_t k_;
+  mutable std::map<std::uint64_t, std::size_t> seen_;
+};
+
+/// Scripted attack: its AE is the sample with its own size in zero bytes
+/// appended (APR 100%). On odd calls it queries until the first benign
+/// verdict and then spends two more queries (like MAB's minimization); on
+/// even calls it gives up after three detected queries. Success is the
+/// oracle's verdict, and the attack reports no counts.
 class Scripted : public attack::Attack {
  public:
   std::string_view name() const override { return "scripted"; }
@@ -30,11 +50,15 @@ class Scripted : public attack::Attack {
                            std::uint64_t) override {
     attack::AttackResult r;
     r.adversarial.assign(malware.begin(), malware.end());
-    oracle.query(r.adversarial);
-    oracle.query(r.adversarial);
-    r.queries = 2;
-    r.success = (++calls_ % 2) == 1;
-    r.apr = 0.5;
+    r.adversarial.resize(2 * malware.size(), 0);
+    const bool persist = (++calls_ % 2) == 1;
+    for (int i = 0; i < 3 || (persist && !oracle.exhausted()); ++i)
+      if (!oracle.query(r.adversarial)) {
+        r.success = true;
+        break;
+      }
+    if (r.success)
+      for (int extra = 0; extra < 2; ++extra) oracle.query(r.adversarial);
     return r;
   }
  private:
@@ -42,7 +66,7 @@ class Scripted : public attack::Attack {
 };
 
 TEST(Harness, RunCellComputesMetrics) {
-  const SizeDetector det(1);  // never flags anything; irrelevant here
+  const FlagsFirstQueries det(3);  // first benign verdict: query 4
   Scripted atk;
   std::vector<ByteBuf> samples;
   for (int i = 0; i < 6; ++i)
@@ -53,9 +77,13 @@ TEST(Harness, RunCellComputesMetrics) {
   EXPECT_EQ(stats.n, 6u);
   EXPECT_EQ(stats.successes, 3u);
   EXPECT_DOUBLE_EQ(stats.asr, 50.0);
-  EXPECT_DOUBLE_EQ(stats.avq, 2.0);
-  EXPECT_DOUBLE_EQ(stats.apr, 50.0);
-  // AE == original, so functionality is trivially preserved.
+  // AVQ is the oracle's first-evasion index; the post-evasion queries
+  // count only in total_queries: 3 x (4 + 2) + 3 x 3.
+  EXPECT_DOUBLE_EQ(stats.avq, 4.0);
+  EXPECT_EQ(stats.total_queries, 27u);
+  // APR comes from the returned bytes.
+  EXPECT_DOUBLE_EQ(stats.apr, 100.0);
+  // Appended zeros are inert overlay, so functionality is preserved.
   EXPECT_DOUBLE_EQ(stats.functional, 100.0);
   EXPECT_EQ(stats.aes.size(), 3u);
 }

@@ -1,7 +1,7 @@
 // Tests for the observability subsystem: metrics registry (exact concurrent
-// counting, histogram bucketing, deterministic snapshot merging across
-// thread retirement), the JSON helpers, and the JSONL trace sink round-trip
-// through the trace reader/validator that backs tools/mpass_trace.
+// counting, deterministic snapshot merging across thread retirement), the
+// JSON helpers, and the JSONL trace sink round-trip through the trace
+// reader/validator that backs tools/mpass_trace.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,32 +46,6 @@ TEST(Metrics, ConcurrentIncrementsSumExactly) {
   EXPECT_EQ(after - before, kThreads * kPerThread);
 }
 
-TEST(Metrics, HistogramBucketBoundaries) {
-  Registry& reg = Registry::instance();
-  const double bounds[] = {1.0, 10.0, 100.0};
-  const MetricId id = reg.histogram("test.obs.hist", bounds);
-
-  // Bucket rule: first bound >= value; above the last bound -> overflow.
-  reg.observe(id, 0.5);    // bucket 0
-  reg.observe(id, 1.0);    // bucket 0 (inclusive upper bound)
-  reg.observe(id, 1.0001); // bucket 1
-  reg.observe(id, 10.0);   // bucket 1
-  reg.observe(id, 99.9);   // bucket 2
-  reg.observe(id, 100.5);  // bucket 3 (overflow)
-
-  const Snapshot s = reg.snapshot();
-  const auto it = s.histograms.find("test.obs.hist");
-  ASSERT_NE(it, s.histograms.end());
-  const Snapshot::Histogram& h = it->second;
-  ASSERT_EQ(h.buckets.size(), 4u);
-  EXPECT_EQ(h.buckets[0], 2u);
-  EXPECT_EQ(h.buckets[1], 2u);
-  EXPECT_EQ(h.buckets[2], 1u);
-  EXPECT_EQ(h.buckets[3], 1u);
-  EXPECT_EQ(h.count, 6u);
-  EXPECT_NEAR(h.sum, 0.5 + 1.0 + 1.0001 + 10.0 + 99.9 + 100.5, 1e-9);
-}
-
 TEST(Metrics, SnapshotMergesRetiredThreadsDeterministically) {
   Registry& reg = Registry::instance();
   const MetricId id = reg.counter("test.obs.retired");
@@ -97,9 +71,8 @@ TEST(Metrics, KindMismatchThrows) {
   Registry& reg = Registry::instance();
   reg.counter("test.obs.kind");
   EXPECT_THROW(reg.gauge("test.obs.kind"), std::invalid_argument);
-  const double bounds[] = {1.0};
-  EXPECT_THROW(reg.histogram("test.obs.kind", bounds),
-               std::invalid_argument);
+  reg.gauge("test.obs.kind.gauge");
+  EXPECT_THROW(reg.counter("test.obs.kind.gauge"), std::invalid_argument);
 }
 
 TEST(Metrics, GaugeAndCallbackGaugeAppearInSnapshot) {
@@ -176,6 +149,24 @@ void emit_sample(std::string_view attack, std::string_view target,
       .boolean("functional", true);
 }
 
+/// One cells.jsonl line as run_cell writes it.
+std::string cell_line(std::string_view attack, std::string_view target,
+                      std::uint64_t n, std::uint64_t traced,
+                      std::uint64_t total_queries, std::uint64_t successes,
+                      std::uint64_t evasion_queries) {
+  return JsonLine()
+      .str("ev", "cell")
+      .str("attack", attack)
+      .str("target", target)
+      .uint("n", n)
+      .uint("traced", traced)
+      .uint("total_queries", total_queries)
+      .uint("successes", successes)
+      .uint("evasion_queries", evasion_queries)
+      .num("wall_ms", 6.0)
+      .take();
+}
+
 TEST(Trace, WriterReaderRoundTrip) {
   TraceDirGuard guard("mpass_trace_roundtrip");
   emit_sample("MPass", "MalConv", 0x1234, 5);
@@ -205,6 +196,7 @@ TEST(Trace, WriterReaderRoundTrip) {
   EXPECT_TRUE(data->success);
   EXPECT_TRUE(data->functional);
   EXPECT_EQ(data->end_queries, 5u);
+  EXPECT_EQ(data->first_evasion, 5u);
   EXPECT_DOUBLE_EQ(data->apr, 12.5);
 }
 
@@ -212,15 +204,8 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   TraceDirGuard guard("mpass_trace_checkdir");
   emit_sample("MPass", "MalConv", 0x1, 5);
   emit_sample("MPass", "MalConv", 0x2, 7);
-  append_run_line("cells.jsonl", JsonLine()
-                                     .str("ev", "cell")
-                                     .str("attack", "MPass")
-                                     .str("target", "MalConv")
-                                     .uint("n", 2)
-                                     .uint("traced", 2)
-                                     .uint("total_queries", 12)
-                                     .num("wall_ms", 6.0)
-                                     .take());
+  append_run_line("cells.jsonl",
+                  cell_line("MPass", "MalConv", 2, 2, 12, 2, 12));
   write_metrics_snapshot();
   ASSERT_TRUE(std::filesystem::exists(guard.dir / "metrics.json"));
 
@@ -232,17 +217,18 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   EXPECT_TRUE(ok.data.has_metrics);
 
   // A fully-traced cell whose query totals disagree must fail the check.
-  append_run_line("cells.jsonl", JsonLine()
-                                     .str("ev", "cell")
-                                     .str("attack", "MPass")
-                                     .str("target", "MalConv")
-                                     .uint("n", 2)
-                                     .uint("traced", 2)
-                                     .uint("total_queries", 99)
-                                     .num("wall_ms", 6.0)
-                                     .take());
+  append_run_line("cells.jsonl",
+                  cell_line("MPass", "MalConv", 2, 2, 99, 2, 12));
   const TraceCheckReport bad = check_trace_dir(guard.dir);
   EXPECT_FALSE(bad.ok());
+
+  // So must one whose AVQ input disagrees with the traced first benign
+  // queries (5 + 7), even when the query total reconciles.
+  append_run_line("cells.jsonl",
+                  cell_line("MPass", "MalConv", 2, 2, 12, 2, 2));
+  const TraceCheckReport bad_avq = check_trace_dir(guard.dir);
+  ASSERT_EQ(bad_avq.errors.size(), 1u);
+  EXPECT_NE(bad_avq.errors[0].find("evasion_queries"), std::string::npos);
 }
 
 TEST(Trace, CacheHitCellsWarnInsteadOfFailing) {
@@ -250,15 +236,8 @@ TEST(Trace, CacheHitCellsWarnInsteadOfFailing) {
   emit_sample("MPass", "AV1", 0x9, 4);
   // traced < n: one sample came from the result cache, totals can't be
   // reconciled against trace files -- warning, not error.
-  append_run_line("cells.jsonl", JsonLine()
-                                     .str("ev", "cell")
-                                     .str("attack", "MPass")
-                                     .str("target", "AV1")
-                                     .uint("n", 2)
-                                     .uint("traced", 1)
-                                     .uint("total_queries", 104)
-                                     .num("wall_ms", 2.0)
-                                     .take());
+  append_run_line("cells.jsonl",
+                  cell_line("MPass", "AV1", 2, 1, 104, 2, 9));
   const TraceCheckReport rep = check_trace_dir(guard.dir);
   EXPECT_TRUE(rep.ok());
   EXPECT_FALSE(rep.warnings.empty());
@@ -275,6 +254,18 @@ TEST(Trace, MalformedSampleTraceIsRejected) {
       "\"functional\":false}\n";
   parse_sample_trace(text, "malformed", &errors);
   EXPECT_FALSE(errors.empty());
+
+  // A success needs a benign verdict among the queries.
+  errors.clear();
+  const std::string no_evasion =
+      "{\"ev\":\"start\",\"attack\":\"A\",\"target\":\"B\","
+      "\"sample\":\"0000000000000001\",\"seed\":1,\"budget\":10}\n"
+      "{\"ev\":\"query\",\"i\":1,\"malicious\":true,\"score\":0.5}\n"
+      "{\"ev\":\"end\",\"success\":true,\"queries\":1,\"apr\":0,\"ms\":1,"
+      "\"functional\":false}\n";
+  parse_sample_trace(no_evasion, "no_evasion", &errors);
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("without a benign query"), std::string::npos);
 }
 
 TEST(Trace, EventsOutsideScopeAreFreeNoOps) {

@@ -13,6 +13,7 @@
 #include <map>
 #include <string>
 
+#include "attack/attack.hpp"
 #include "core/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
@@ -142,8 +143,9 @@ int cmd_attack(int argc, char** argv) {
                      zoo.known_nets_excluding(target_name));
   detect::HardLabelOracle oracle(*target, 100);
   const core::MpassResult r = attack.run(file, oracle, seed);
-  std::printf("success=%d queries=%zu APR=%.0f%%\n", r.success, r.queries,
-              100.0 * r.apr);
+  std::printf("success=%d queries=%zu APR=%.0f%%\n", r.success,
+              oracle.queries(),
+              100.0 * attack::apr_of(file.size(), r.adversarial.size()));
   if (r.success) {
     std::printf("AE score: %.4f\n", target->score(r.adversarial));
     const vm::Sandbox sandbox;

@@ -1,7 +1,8 @@
 // Trace inspector for MPASS_TRACE directories and metrics snapshots.
 //
 //   mpass_trace check <dir>      validate every JSONL line + reconcile
-//                                query budgets (exit 1 on violations)
+//                                query budgets and first evasions (AVQ)
+//                                (exit 1 on violations)
 //   mpass_trace summary <dir>    per-attack query-budget breakdown and
 //                                ensemble-loss curves
 //   mpass_trace diff <a> <b>     compare two metrics.json snapshots
@@ -139,8 +140,8 @@ int run_summary(const std::filesystem::path& dir) {
   return 0;
 }
 
-/// Loads a metrics.json snapshot into flat name -> value pairs
-/// (counters as-is, gauges, histogram .count/.sum).
+/// Loads a metrics.json snapshot into flat name -> value pairs (counters
+/// and gauges).
 std::optional<std::map<std::string, double>> load_metrics(
     const std::filesystem::path& path) {
   const auto blob = mpass::util::load_file(path);
@@ -162,13 +163,6 @@ std::optional<std::map<std::string, double>> load_metrics(
   if (const Json* gauges = doc->get("gauges"); gauges)
     for (const auto& [name, v] : gauges->fields())
       if (v.is_number()) flat[name] = v.number();
-  if (const Json* hists = doc->get("histograms"); hists)
-    for (const auto& [name, h] : hists->fields()) {
-      if (const Json* c = h.get("count"); c && c->is_number())
-        flat[name + ".count"] = c->number();
-      if (const Json* s = h.get("sum"); s && s->is_number())
-        flat[name + ".sum"] = s->number();
-    }
   return flat;
 }
 
