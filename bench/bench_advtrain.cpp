@@ -21,10 +21,10 @@ int main() {
 
   auto attack_asr = [&](const detect::Detector& target) {
     auto atk = harness::make_attack("MPass", zoo, "MalConv");
+    std::vector<util::ByteBuf> aes;
     const harness::CellStats stats =
-        harness::run_cell(*atk, target, samples, samples, cfg);
-    return std::pair<double, std::vector<util::ByteBuf>>(stats.asr,
-                                                         stats.aes);
+        harness::run_cell(*atk, target, samples, samples, cfg, nullptr, &aes);
+    return std::pair(stats.asr, std::move(aes));
   };
   const auto [base_asr, base_aes] = attack_asr(base);
 

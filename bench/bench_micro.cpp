@@ -1,9 +1,12 @@
 // Component micro-benchmarks (google-benchmark): PE parse/build, feature
-// extraction, detector inference, emulator throughput, LZSS, Shapley.
+// extraction, detector inference, the MPass optimizer step, emulator
+// throughput, LZSS, Shapley.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
 
+#include "core/modification.hpp"
+#include "core/optimizer.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/features.hpp"
 #include "detectors/models.hpp"
@@ -45,10 +48,14 @@ void BM_FeatureExtract(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtract);
 
+// One full forward over a 16 KB buffer (max_len): the whole convolution.
+// Scoring an unchanged buffer through the detector would time the
+// forward_auto cache hit instead.
 void BM_MalConvForward(benchmark::State& state) {
   detect::ByteConvDetector det("bench", detect::malconv_config(), 11);
-  const auto& bytes = sample_malware();
-  for (auto _ : state) benchmark::DoNotOptimize(det.score(bytes));
+  util::ByteBuf buf = sample_malware();
+  buf.resize(16384, 0x90);
+  for (auto _ : state) benchmark::DoNotOptimize(det.net().forward(buf));
 }
 BENCHMARK(BM_MalConvForward);
 
@@ -89,6 +96,34 @@ void BM_MalConvQueryFull(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_MalConvQueryFull);
+
+// One MPass optimization step (paper §III-D) over three MalConv-shaped
+// known nets on a modified sample: forward + input gradients, the
+// 256-candidate scan, the line search. Each iteration starts from the same
+// sample with the nets' caches synced to it, as after a previous step.
+void BM_OptimizerStep(benchmark::State& state) {
+  std::vector<std::unique_ptr<detect::ByteConvDetector>> dets;
+  std::vector<ml::ByteConvNet*> nets;
+  for (std::uint64_t seed : {21, 22, 23}) {
+    dets.push_back(std::make_unique<detect::ByteConvDetector>(
+        "bench", detect::malconv_config(), seed));
+    nets.push_back(&dets.back()->net());
+  }
+  util::Rng rng(7);
+  const core::ModifiedSample base = core::apply_modification(
+      sample_malware(), corpus::make_benign(0xD0).bytes(),
+      core::ModificationConfig{}, rng);
+  const core::EnsembleOptimizer opt(nets);
+  core::ModifiedSample sample;
+  for (auto _ : state) {
+    state.PauseTiming();
+    sample = base;
+    opt.ensemble_loss(sample.bytes);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(opt.step(sample));
+  }
+}
+BENCHMARK(BM_OptimizerStep)->Unit(benchmark::kMillisecond);
 
 void BM_VmExecute(benchmark::State& state) {
   const auto& bytes = sample_malware();

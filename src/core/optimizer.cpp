@@ -1,6 +1,7 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -95,57 +96,56 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
     float gain;  // predicted first-order loss decrease
   };
   std::vector<Update> updates;
-  std::vector<float> cand(256);
-  for (const auto& [mag, p] : by_magnitude) {
-    const auto key_it = sample.key_of.find(p);
-    const bool has_key = key_it != sample.key_of.end();
-    const std::uint32_t kpos = has_key ? key_it->second : 0;
+  {
+    // One span per step, so the profile separates the scan from the
+    // gradient and line-search time of core.opt_step.
+    OBS_SCOPE("core.opt_scan");
+    std::array<float, 256> cand, dots;
+    for (const auto& [mag, p] : by_magnitude) {
+      const auto key_it = sample.key_of.find(p);
+      const bool has_key = key_it != sample.key_of.end();
+      const std::uint32_t kpos = has_key ? key_it->second : 0;
 
-    bool visible = false;
-    for (std::size_t i = 0; i < m; ++i)
-      if (p < consumed[i] || (has_key && kpos < consumed[i])) visible = true;
-    if (!visible) continue;
+      bool visible = false;
+      for (std::size_t i = 0; i < m; ++i)
+        if (p < consumed[i] || (has_key && kpos < consumed[i])) visible = true;
+      if (!visible) continue;
 
-    const std::uint8_t cur = sample.bytes[p];
-    const std::uint8_t cur_key = has_key ? sample.bytes[kpos] : 0;
+      const std::uint8_t cur = sample.bytes[p];
+      const std::uint8_t cur_key = has_key ? sample.bytes[kpos] : 0;
+      // Choosing byte v at p forces key value cur_key + (v - cur), so the
+      // key term of candidate v is the key dot of byte (v + rot) & 255.
+      const std::uint8_t rot = static_cast<std::uint8_t>(cur_key - cur);
 
-    std::fill(cand.begin(), cand.end(), 0.0f);
-    for (std::size_t i = 0; i < m; ++i) {
-      const int d = known_[i]->config().embed_dim;
-      if (p < consumed[i]) {
-        const float* g = grads[i].data() + static_cast<std::size_t>(p) * d;
-        for (int v = 0; v < 256; ++v) {
-          const auto e = known_[i]->embedding_row(v);
-          float s = 0.0f;
-          for (int k = 0; k < d; ++k) s += g[k] * e[k];
-          cand[static_cast<std::size_t>(v)] += s;
+      cand.fill(0.0f);
+      for (std::size_t i = 0; i < m; ++i) {
+        const std::size_t d =
+            static_cast<std::size_t>(known_[i]->config().embed_dim);
+        if (p < consumed[i]) {
+          known_[i]->byte_dots({grads[i].data() + p * d, d}, dots);
+          for (int v = 0; v < 256; ++v) cand[v] += dots[v];
+        }
+        if (has_key && kpos < consumed[i]) {
+          known_[i]->byte_dots({grads[i].data() + kpos * d, d}, dots);
+          // cand[v] += dots[(v + rot) & 255], as two contiguous runs.
+          const int split = 256 - rot;
+          for (int v = 0; v < split; ++v) cand[v] += dots[v + rot];
+          for (int v = split; v < 256; ++v) cand[v] += dots[v - split];
         }
       }
-      if (has_key && kpos < consumed[i]) {
-        const float* g = grads[i].data() + static_cast<std::size_t>(kpos) * d;
-        for (int v = 0; v < 256; ++v) {
-          // Choosing byte v at p forces key value cur_key + (v - cur).
-          const std::uint8_t kv = static_cast<std::uint8_t>(
-              cur_key + static_cast<std::uint8_t>(v - cur));
-          const auto e = known_[i]->embedding_row(kv);
-          float s = 0.0f;
-          for (int k = 0; k < d; ++k) s += g[k] * e[k];
-          cand[static_cast<std::size_t>(v)] += s;
+
+      int best = cur;
+      float best_score = cand[cur];
+      for (int v = 0; v < 256; ++v) {
+        if (cand[v] < best_score) {
+          best_score = cand[v];
+          best = v;
         }
       }
+      if (best != cur)
+        updates.push_back(
+            {p, static_cast<std::uint8_t>(best), cur, cand[cur] - best_score});
     }
-
-    int best = cur;
-    float best_score = cand[cur];
-    for (int v = 0; v < 256; ++v) {
-      if (cand[static_cast<std::size_t>(v)] < best_score) {
-        best_score = cand[static_cast<std::size_t>(v)];
-        best = v;
-      }
-    }
-    if (best != cur)
-      updates.push_back(
-          {p, static_cast<std::uint8_t>(best), cur, cand[cur] - best_score});
   }
   if (updates.empty()) return total_loss / static_cast<float>(m);
 

@@ -35,7 +35,7 @@ ExperimentConfig ExperimentConfig::from_env() {
 }
 
 std::uint64_t ExperimentConfig::digest() const {
-  std::uint64_t h = 11;  // bump to invalidate cached results
+  std::uint64_t h = 12;  // bump to invalidate cached results
   h = util::hash_combine(h, n_samples);
   h = util::hash_combine(h, max_queries);
   h = util::hash_combine(h, seed);
@@ -184,15 +184,14 @@ std::uint64_t CellStats::result_digest() const {
   h = util::hash_combine(h, successes);
   for (double v : {asr, avq, apr, functional})
     h = util::hash_combine(h, std::bit_cast<std::uint64_t>(v));
-  h = util::hash_combine(h, aes.size());
-  for (const ByteBuf& ae : aes) h = util::fnv1a64(ae, h);
-  return h;
+  return util::hash_combine(h, ae_digest);
 }
 
 CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                    std::span<const ByteBuf> samples,
                    std::span<const ByteBuf> originals_for_sandbox,
-                   const ExperimentConfig& cfg, util::ThreadPool* pool) {
+                   const ExperimentConfig& cfg, util::ThreadPool* pool,
+                   std::vector<ByteBuf>* aes) {
   OBS_SCOPE("harness.run_cell");
   CellStats stats;
   stats.attack = std::string(atk.name());
@@ -247,6 +246,7 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                                original_of(i), cfg, digests[i]);
   }
 
+  if (aes) aes->clear();
   std::uint64_t evasion_queries = 0;
   double sum_apr = 0.0;
   std::size_t functional = 0, fresh = 0;
@@ -260,7 +260,10 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
     sum_apr += out.apr;
     if (out.functional) {
       ++functional;
-      stats.aes.push_back(std::move(out.adversarial));
+      const ByteBuf& ae = out.adversarial;
+      stats.ae_digest = util::fnv1a64(
+          ae, util::hash_combine(stats.ae_digest, ae.size()));
+      if (aes) aes->push_back(std::move(out.adversarial));
     }
   }
   if (stats.n > 0)
@@ -376,8 +379,7 @@ void save_cell(util::Archive& ar, const CellStats& c) {
   ar.f64(c.avq);
   ar.f64(c.apr);
   ar.f64(c.functional);
-  ar.u32(static_cast<std::uint32_t>(c.aes.size()));
-  for (const ByteBuf& ae : c.aes) ar.bytes(ae);
+  ar.u64(c.ae_digest);
   ar.u64(c.total_queries);
   ar.f64(c.wall_ms);
   ar.f64(c.qps);
@@ -394,8 +396,7 @@ CellStats load_cell(util::Unarchive& ar) {
   c.avq = ar.f64();
   c.apr = ar.f64();
   c.functional = ar.f64();
-  c.aes.assign(ar.u32(), {});
-  for (ByteBuf& ae : c.aes) ae = ar.bytes();
+  c.ae_digest = ar.u64();
   c.total_queries = ar.u64();
   c.wall_ms = ar.f64();
   c.qps = ar.f64();
@@ -405,15 +406,22 @@ CellStats load_cell(util::Unarchive& ar) {
 }  // namespace
 
 void save_cells(std::string_view key, const ExperimentConfig& cfg,
-                const std::vector<CellStats>& cells) {
+                const std::vector<CellStats>& cells, const CellAes* aes) {
   util::Archive ar;
   ar.u32(static_cast<std::uint32_t>(cells.size()));
   for (const CellStats& c : cells) save_cell(ar, c);
+  ar.u32(aes ? 1 : 0);
+  if (aes)
+    for (const std::vector<ByteBuf>& cell_aes : *aes) {
+      ar.u32(static_cast<std::uint32_t>(cell_aes.size()));
+      for (const ByteBuf& ae : cell_aes) ar.bytes(ae);
+    }
   util::save_file(cell_path(key, cfg), ar.take());
 }
 
 std::optional<std::vector<CellStats>> load_cells(std::string_view key,
-                                                 const ExperimentConfig& cfg) {
+                                                 const ExperimentConfig& cfg,
+                                                 CellAes* aes) {
   if (!cfg.use_cache) return std::nullopt;
   auto blob = util::load_file(cell_path(key, cfg));
   if (!blob) return std::nullopt;
@@ -421,6 +429,16 @@ std::optional<std::vector<CellStats>> load_cells(std::string_view key,
     util::Unarchive ar(*blob);
     std::vector<CellStats> cells(ar.u32());
     for (CellStats& c : cells) c = load_cell(ar);
+    const bool has_aes = ar.u32() != 0;
+    if (aes) {
+      if (!has_aes) return std::nullopt;
+      CellAes loaded(cells.size());
+      for (std::vector<ByteBuf>& cell_aes : loaded) {
+        cell_aes.assign(ar.u32(), {});
+        for (ByteBuf& ae : cell_aes) ae = ar.bytes();
+      }
+      *aes = std::move(loaded);
+    }
     return cells;
   } catch (const util::ParseError&) {
     return std::nullopt;
@@ -448,8 +466,9 @@ std::vector<CellStats> run_grid(std::string_view key,
                                 std::span<const std::string_view> attacks,
                                 std::span<detect::Detector* const> targets,
                                 bool gate_on_all_offline,
-                                const ExperimentConfig& cfg) {
-  if (auto cached = load_cells(key, cfg)) return *cached;
+                                const ExperimentConfig& cfg,
+                                CellAes* aes = nullptr) {
+  if (auto cached = load_cells(key, cfg, aes)) return *cached;
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
 
   // Sample gate: paper requires initial detection by the target models.
@@ -476,11 +495,13 @@ std::vector<CellStats> run_grid(std::string_view key,
   util::ThreadPool& tp = util::ThreadPool::instance();
   std::vector<std::future<CellStats>> futs;
   futs.reserve(targets.size() * attacks.size());
+  if (aes) aes->assign(targets.size() * attacks.size(), {});
   for (std::size_t t = 0; t < targets.size(); ++t)
     for (std::size_t a = 0; a < attacks.size(); ++a)
       futs.push_back(tp.submit([&, t, a] {
         return run_cell(*attack_sets[t][a], *targets[t], samples, samples,
-                        cfg, &tp);
+                        cfg, &tp,
+                        aes ? &(*aes)[t * attacks.size() + a] : nullptr);
       }));
 
   std::vector<CellStats> cells;
@@ -494,7 +515,7 @@ std::vector<CellStats> run_grid(std::string_view key,
               std::string(key).c_str(), c.attack.c_str(), c.target.c_str(),
               c.asr, c.avq, c.apr, c.wall_ms, c.qps);
   }
-  save_cells(key, cfg, cells);
+  save_cells(key, cfg, cells, aes);
   obs::write_metrics_snapshot();
   return cells;
 }
@@ -516,9 +537,9 @@ std::vector<CellStats> offline_grid(const ExperimentConfig& cfg) {
   return run_grid("offline", kMainAttacks, targets, true, cfg);
 }
 
-std::vector<CellStats> av_grid(const ExperimentConfig& cfg) {
+std::vector<CellStats> av_grid(const ExperimentConfig& cfg, CellAes* aes) {
   auto targets = av_targets();
-  return run_grid("avs", kMainAttacks, targets, false, cfg);
+  return run_grid("avs", kMainAttacks, targets, false, cfg, aes);
 }
 
 std::vector<CellStats> obfuscation_grid(const ExperimentConfig& cfg) {
@@ -544,11 +565,13 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
   // Fig. 4 extends the Fig. 3 run, adding the no-shuffle MPass ablation so
   // the shuffle strategy's role in surviving AV learning is visible.
-  std::vector<CellStats> cells = av_grid(cfg);
+  CellAes aes;
+  std::vector<CellStats> cells = av_grid(cfg, &aes);
   {
     const std::string_view key = "avs-noshuffle";
     std::vector<CellStats> extra;
-    if (auto cached = load_cells(key, cfg)) {
+    CellAes extra_aes;
+    if (auto cached = load_cells(key, cfg, &extra_aes)) {
       extra = *cached;
     } else {
       std::vector<const detect::Detector*> gate;
@@ -559,11 +582,15 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
           gate.assign(1, av.get());
           samples = make_attack_set(gate, cfg.n_samples, cfg.seed);
         }
-        extra.push_back(run_cell(*atk, *av, samples, samples, cfg));
+        extra_aes.emplace_back();
+        extra.push_back(run_cell(*atk, *av, samples, samples, cfg, nullptr,
+                                 &extra_aes.back()));
       }
-      save_cells(key, cfg, extra);
+      save_cells(key, cfg, extra, &extra_aes);
     }
     cells.insert(cells.end(), extra.begin(), extra.end());
+    aes.insert(aes.end(), std::make_move_iterator(extra_aes.begin()),
+               std::make_move_iterator(extra_aes.end()));
   }
 
   LearningTimeline tl;
@@ -600,29 +627,31 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
     if (round > 0) {
       for (std::size_t a = 0; a < tl.avs.size(); ++a) {
         std::vector<ByteBuf> batch;
-        for (const CellStats& c : cells) {
-          if (c.target != tl.avs[a]) continue;
+        for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+          if (cells[ci].target != tl.avs[a]) continue;
           // Split each cell's AEs into (rounds-1) weekly slices.
           const std::size_t slices = tl.rounds - 1;
-          for (std::size_t i = round - 1; i < c.aes.size(); i += slices)
-            batch.push_back(c.aes[i]);
+          for (std::size_t i = round - 1; i < aes[ci].size(); i += slices)
+            batch.push_back(aes[ci][i]);
         }
         avs[a]->update(batch);
       }
     }
-    for (const CellStats& c : cells) {
+    for (std::size_t ci = 0; ci < cells.size(); ++ci) {
+      const CellStats& c = cells[ci];
+      const std::vector<ByteBuf>& c_aes = aes[ci];
       const auto ai = static_cast<std::size_t>(
           std::find(tl.attacks.begin(), tl.attacks.end(), c.attack) -
           tl.attacks.begin());
       const auto vi = static_cast<std::size_t>(
           std::find(tl.avs.begin(), tl.avs.end(), c.target) - tl.avs.begin());
       if (vi >= tl.avs.size()) continue;
-      if (c.aes.empty()) continue;
+      if (c_aes.empty()) continue;
       std::size_t bypass = 0;
-      for (const ByteBuf& ae : c.aes)
+      for (const ByteBuf& ae : c_aes)
         if (!avs[vi]->is_malicious(ae)) ++bypass;
       tl.bypass[ai][vi][round] = 100.0 * static_cast<double>(bypass) /
-                                 static_cast<double>(c.aes.size());
+                                 static_cast<double>(c_aes.size());
     }
   }
   return tl;

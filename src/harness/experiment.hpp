@@ -43,7 +43,10 @@ struct CellStats {
   double avq = 0.0;
   double apr = 0.0;              // mean APR (percent) over successful AEs
   double functional = 0.0;       // % of successful AEs passing the sandbox
-  std::vector<util::ByteBuf> aes;  // functional successful AEs (Fig. 4 input)
+  // Digest of the functional successful AEs (each one's length and bytes,
+  // in sample order). The bytes themselves go only to callers that ask
+  // run_cell for them, so grid results stay small.
+  std::uint64_t ae_digest = 0;
   // Throughput counters (informative only; excluded from result_digest()).
   std::size_t total_queries = 0;  // oracle queries across all samples
   // Summed per-sample attack compute time. Cells interleave on the shared
@@ -77,11 +80,17 @@ std::vector<util::ByteBuf> make_attack_set(
 /// whole cells. Non-clonable attacks/targets (e.g. test doubles) run their
 /// samples sequentially on the shared instances, without the per-sample
 /// cache (cross-sample attack state makes cached entries order-dependent).
+/// If `aes` is non-null it receives the functional successful AEs in
+/// sample order (the bytes CellStats::ae_digest covers).
 CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                    std::span<const util::ByteBuf> samples,
                    std::span<const util::ByteBuf> originals_for_sandbox,
                    const ExperimentConfig& cfg,
-                   util::ThreadPool* pool = nullptr);
+                   util::ThreadPool* pool = nullptr,
+                   std::vector<util::ByteBuf>* aes = nullptr);
+
+/// Per-cell AE bytes, parallel to a grid's cells.
+using CellAes = std::vector<std::vector<util::ByteBuf>>;
 
 /// Attack factory. Names: MPass, RLA, MAB, GAMMA, MalRNN, UPX, PESpin,
 /// ASPack, Other-sec, Random-data, MPass-noshuffle.
@@ -96,8 +105,10 @@ std::unique_ptr<attack::Attack> make_attack(std::string_view name,
 /// Tables I-III: {MPass,RLA,MAB,GAMMA,MalRNN} x 4 offline models.
 std::vector<CellStats> offline_grid(const ExperimentConfig& cfg);
 
-/// Fig. 3: same five attacks x 5 commercial AVs (keeps AEs for Fig. 4).
-std::vector<CellStats> av_grid(const ExperimentConfig& cfg);
+/// Fig. 3: same five attacks x 5 commercial AVs. Fig. 4 passes `aes` to
+/// get each cell's AEs as well.
+std::vector<CellStats> av_grid(const ExperimentConfig& cfg,
+                               CellAes* aes = nullptr);
 
 /// Table IV: {UPX,PESpin,ASPack,MPass} x 5 AVs.
 std::vector<CellStats> obfuscation_grid(const ExperimentConfig& cfg);
@@ -122,10 +133,14 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg);
 
 // ---- result cache ----------------------------------------------------------
 
+/// With `aes`, the cells' AE bytes are stored too. A load that asks for
+/// `aes` misses when the stored grid has none.
 void save_cells(std::string_view key, const ExperimentConfig& cfg,
-                const std::vector<CellStats>& cells);
+                const std::vector<CellStats>& cells,
+                const CellAes* aes = nullptr);
 std::optional<std::vector<CellStats>> load_cells(std::string_view key,
-                                                 const ExperimentConfig& cfg);
+                                                 const ExperimentConfig& cfg,
+                                                 CellAes* aes = nullptr);
 
 /// Writes a grid as CSV (attack,target,n,successes,asr,avq,apr,functional)
 /// for external plotting; AE payloads are not exported.

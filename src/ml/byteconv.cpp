@@ -1,7 +1,10 @@
 #include "ml/byteconv.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstring>
+#include <type_traits>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -89,24 +92,91 @@ float ByteConvNet::forward(std::span<const std::uint8_t> bytes) {
   return full_forward(bytes);
 }
 
+namespace {
+
+// Four float lanes (one SSE register on x86-64). Lane-wise + and * are the
+// scalar IEEE operations, so a lane computes exactly what scalar code does.
+using Lanes = float __attribute__((vector_size(16)));
+constexpr int kLanes = 4;
+
+/// Adds one window's terms to V * kLanes consecutive filters' A and B
+/// accumulators, seeded from (and written back to) ap/bp. Window element
+/// i = j * d + k is emb[tok[j] * d + k]. The lanes run over filters; each
+/// filter still adds w[i] * x[i] in i order, so every output is the same
+/// float sum as a per-filter dot product.
+template <int V>
+void conv_filters(const float* emb, const int* tok, int W, int d,
+                  const float* wa_t, const float* wb_t, int F, float* ap,
+                  float* bp) {
+  Lanes sa[V], sb[V];
+  std::memcpy(sa, ap, sizeof(sa));
+  std::memcpy(sb, bp, sizeof(sb));
+  for (int j = 0; j < W; ++j) {
+    const float* e = emb + static_cast<std::size_t>(tok[j]) * d;
+    for (int k = 0; k < d; ++k, wa_t += F, wb_t += F) {
+      const float w = e[k];
+      const Lanes x = {w, w, w, w};
+      for (int v = 0; v < V; ++v) {
+        Lanes la, lb;
+        std::memcpy(&la, wa_t + v * kLanes, sizeof(la));
+        std::memcpy(&lb, wb_t + v * kLanes, sizeof(lb));
+        sa[v] += la * x;
+        sb[v] += lb * x;
+      }
+    }
+  }
+  std::memcpy(ap, sa, sizeof(sa));
+  std::memcpy(bp, sb, sizeof(sb));
+}
+
+}  // namespace
+
+const float* ByteConvNet::embed_window(std::size_t p) {
+  const int d = cfg_.embed_dim;
+  win_.resize(static_cast<std::size_t>(cfg_.width) * d);
+  const int* tok = tokens_.data() + p * cfg_.stride;
+  for (int j = 0; j < cfg_.width; ++j)
+    std::copy_n(emb_->w.data() + tok[j] * d, d, win_.data() + j * d);
+  return win_.data();
+}
+
 void ByteConvNet::conv_row(std::size_t p) {
   const int d = cfg_.embed_dim;
   const int F = cfg_.filters;
-  const int window = cfg_.width * d;
-  const float* win = x_.data() + p * cfg_.stride * d;
+  const int W = cfg_.width;
+  const float* emb = emb_->w.data();
+  const int* tok = tokens_.data() + p * cfg_.stride;
   float* ap = a_.data() + p * F;
   float* bp = b_.data() + p * F;
-  for (int f = 0; f < F; ++f) {
-    const float* wra = wa_->w.data() + static_cast<std::size_t>(f) * window;
-    const float* wrb = wb_->w.data() + static_cast<std::size_t>(f) * window;
-    float sa = ba_->w[f];
-    float sb = bb_->w[f];
-    for (int i = 0; i < window; ++i) {
-      sa += wra[i] * win[i];
-      sb += wrb[i] * win[i];
+  std::copy_n(ba_->w.data(), F, ap);
+  std::copy_n(bb_->w.data(), F, bp);
+  // Filters in blocks whose accumulators stay in registers; the 16-filter
+  // block carries enough independent adds to hide the add latency. The
+  // last F % 4 filters run one lane each.
+  const float* wa = wa_t_.data();
+  const float* wb = wb_t_.data();
+  int f0 = 0;
+  const auto block = [&](auto v) {
+    conv_filters<v>(emb, tok, W, d, wa + f0, wb + f0, F, ap + f0, bp + f0);
+    f0 += v * kLanes;
+  };
+  while (F - f0 >= 4 * kLanes) block(std::integral_constant<int, 4>{});
+  if (F - f0 >= 2 * kLanes) block(std::integral_constant<int, 2>{});
+  if (F - f0 >= kLanes) block(std::integral_constant<int, 1>{});
+  for (; f0 < F; ++f0) {
+    float sa = ap[f0];
+    float sb = bp[f0];
+    const float* wai = wa + f0;
+    const float* wbi = wb + f0;
+    for (int j = 0; j < W; ++j) {
+      const float* e = emb + static_cast<std::size_t>(tok[j]) * d;
+      for (int k = 0; k < d; ++k, wai += F, wbi += F) {
+        sa += *wai * e[k];
+        sb += *wbi * e[k];
+      }
     }
-    ap[f] = sa;
-    bp[f] = sb;
+    ap[f0] = sa;
+    bp[f0] = sb;
   }
   float* hp = h_.data() + p * F;
   for (int f = 0; f < F; ++f)
@@ -180,12 +250,22 @@ float ByteConvNet::full_forward(std::span<const std::uint8_t> bytes) {
   for (std::size_t t = 0; t < n_tok; ++t)
     tokens_[t] = t < n ? static_cast<int>(bytes[t]) : kPad;
 
-  // Embedding.
-  x_.resize(n_tok * d);
-  for (std::size_t t = 0; t < n_tok; ++t) {
-    const float* row = emb_->w.data() + tokens_[t] * d;
-    std::copy_n(row, d, x_.data() + t * d);
-  }
+  // Filter-major weight copies for conv_row, rebuilt from the live weights
+  // on every full forward (~2 * W * d * F floats next to T * W * d * F
+  // multiply-adds). The delta path only runs while the ParamSet version
+  // is unchanged since this forward, so it always sees current copies.
+  const std::size_t window = static_cast<std::size_t>(W) * d;
+  wa_t_.resize(window * F);
+  wb_t_.resize(window * F);
+  for (int f = 0; f < F; ++f)
+    for (std::size_t i = 0; i < window; ++i) {
+      wa_t_[i * F + f] = wa_->w[f * window + i];
+      wb_t_[i * F + f] = wb_->w[f * window + i];
+    }
+  emb_t_.resize(static_cast<std::size_t>(d) * 256);
+  for (int v = 0; v < 256; ++v)
+    for (int k = 0; k < d; ++k)
+      emb_t_[static_cast<std::size_t>(k) * 256 + v] = emb_->w[v * d + k];
 
   // Convolutions + gating.
   const std::size_t T = time_steps(n_tok);
@@ -212,21 +292,15 @@ float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
   OBS_SCOPE("ml.forward_delta");
   static const obs::Counter count_delta("ml.forward.delta");
   count_delta.inc();
-  const int d = cfg_.embed_dim;
   const int F = cfg_.filters;
   const int W = cfg_.width;
   const int S = cfg_.stride;
   const std::size_t T = time_steps(tokens_.size());
 
-  // Re-tokenize + re-embed the dirty positions (identical copy of the
-  // embedding row, so unchanged-value writes stay bitwise stable).
-  for (const ByteRange& r : ranges) {
-    for (std::size_t t = r.lo; t < r.hi; ++t) {
+  // Re-tokenize the dirty positions; conv_row embeds from the tokens.
+  for (const ByteRange& r : ranges)
+    for (std::size_t t = r.lo; t < r.hi; ++t)
       tokens_[t] = static_cast<int>(bytes[t]);
-      const float* row = emb_->w.data() + tokens_[t] * d;
-      std::copy_n(row, d, x_.data() + t * d);
-    }
-  }
 
   // Dirty byte range -> overlapping timesteps: window p covers positions
   // [p*S, p*S + W), so it overlaps [lo, hi) iff p*S < hi and p*S + W > lo.
@@ -427,12 +501,12 @@ float ByteConvNet::backward(float target, std::vector<float>* input_grad,
   }
 
   // Through gating + convolutions into the embedded input.
-  std::vector<float> dx(x_.size(), 0.0f);
+  std::vector<float> dx(tokens_.size() * d, 0.0f);
   const int window = W * d;
   for (std::size_t p = 0; p < T; ++p) {
     const float* hp_a = a_.data() + p * F;
     const float* hp_b = b_.data() + p * F;
-    const float* win = x_.data() + p * S * d;
+    const float* win = nullptr;  // embedded window, gathered on first use
     float* dwin = dx.data() + p * S * d;
     for (int f = 0; f < F; ++f) {
       const float g = dh[p * F + f];
@@ -449,6 +523,7 @@ float ByteConvNet::backward(float target, std::vector<float>* input_grad,
       const float* wra = wa_->w.data() + static_cast<std::size_t>(f) * window;
       const float* wrb = wb_->w.data() + static_cast<std::size_t>(f) * window;
       if (accumulate_params) {
+        if (!win) win = embed_window(p);
         float* gra = wa_->g.data() + static_cast<std::size_t>(f) * window;
         float* grb = wb_->g.data() + static_cast<std::size_t>(f) * window;
         for (int i = 0; i < window; ++i) {
@@ -479,6 +554,28 @@ float ByteConvNet::backward(float target, std::vector<float>* input_grad,
   }
   if (input_grad) *input_grad = std::move(dx);
   return loss;
+}
+
+void ByteConvNet::byte_dots(std::span<const float> g,
+                            std::span<float, 256> out) const {
+  assert(emb_t_.size() == g.size() * 256 && "byte_dots before a forward");
+  // Lanes run over byte values, 16 per block held in registers across k;
+  // each dot still sums k = 0..d-1 starting from 0.0f.
+  constexpr int V = 4;
+  for (int v0 = 0; v0 < 256; v0 += V * kLanes) {
+    Lanes acc[V] = {};
+    for (std::size_t k = 0; k < g.size(); ++k) {
+      const float gk = g[k];
+      const Lanes gl = {gk, gk, gk, gk};
+      const float* e = emb_t_.data() + k * 256 + v0;
+      for (int j = 0; j < V; ++j) {
+        Lanes el;
+        std::memcpy(&el, e + j * kLanes, sizeof(el));
+        acc[j] += gl * el;
+      }
+    }
+    std::memcpy(out.data() + v0, acc, sizeof(acc));
+  }
 }
 
 std::span<const float> ByteConvNet::embedding_row(int token) const {

@@ -92,6 +92,12 @@ class ByteConvNet {
   /// Embedding row of a token (0..256).
   std::span<const float> embedding_row(int token) const;
 
+  /// out[v] = <g, embedding_row(v)> for the 256 byte tokens, each dot
+  /// summed in k order from 0.0f (g has embed_dim entries). Reads the
+  /// transposed embedding copy made by the last full forward, so call it
+  /// after a forward on the current weights (the optimizer's scan does).
+  void byte_dots(std::span<const float> g, std::span<float, 256> out) const;
+
   /// Applies the non-negativity constraint (no-op unless cfg.nonneg).
   void clamp_nonneg();
 
@@ -102,9 +108,15 @@ class ByteConvNet {
   void load(util::Unarchive& ar);
 
  private:
+  friend struct ByteConvProbe;  // tests read the activation caches
+
   std::size_t time_steps(std::size_t n_tokens) const;
+  /// Gathers the embedding rows of timestep p's window into win_. The
+  /// embedded input is never materialized (it would be L x d floats).
+  const float* embed_window(std::size_t p);
   /// Conv + gating for one timestep (writes a_/b_/h_ rows). Shared by the
-  /// full and delta paths so recomputed rows are bitwise identical.
+  /// full and delta paths so recomputed rows are bitwise identical. Reads
+  /// the filter-major weight copies made by the last full forward.
   void conv_row(std::size_t p);
   /// Channel gating + global max pool + dense head, full recompute from
   /// h_ (identical code for both paths).
@@ -139,9 +151,14 @@ class ByteConvNet {
   Param* w2_;    // 1 x H
   Param* b2_;    // 1
 
+  // Layout copies of the live weights, rebuilt by every full forward:
+  // wa_t_/wb_t_ are W*d x F (filter-major, so conv_row's vector lanes run
+  // over filters) and emb_t_ is d x 256 (byte_dots' lanes run over bytes).
+  std::vector<float> wa_t_, wb_t_, emb_t_;
+
   // Forward caches.
   std::vector<int> tokens_;
-  std::vector<float> x_;      // embedded input, T_in x d
+  std::vector<float> win_;    // one window's embedded input, W x d
   std::vector<float> a_, b_;  // conv pre-activations, T x F
   std::vector<float> h_;      // gated features, T x F
   std::vector<float> ctx_;    // mean-pooled context, F

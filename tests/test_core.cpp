@@ -2,6 +2,8 @@
 // engine (positions I / key map J), and the ensemble optimizer invariants.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/models.hpp"
@@ -296,6 +298,30 @@ TEST_F(TinyNetFixture, OptimizerIncrementalMatchesFullRecompute) {
     EXPECT_EQ(util::fnv1a64(inc_mod.bytes), util::fnv1a64(full_mod.bytes))
         << "step " << i;
   }
+}
+
+TEST_F(TinyNetFixture, OptimizerStepsMatchScalarScanDigest) {
+  // The digest was recorded with the scalar convolution and the scalar
+  // per-candidate scan; the vectorized kernels must reproduce every byte.
+  // With push_keys_beyond = 0 the keys sit inside the second net's window
+  // (untrained, d = 6, F = 12, channel gating, whole-file max_len), so the
+  // scan exercises the key-coupled term and a second embedding width.
+  ml::ByteConvConfig wide = detect::malgcg_config();
+  wide.max_len = 1 << 16;
+  wide.embed_dim = 6;
+  wide.filters = 12;
+  ml::ByteConvNet second(wide, 77);
+  ModificationConfig cfg;
+  cfg.push_keys_beyond = 0;
+  util::Rng rng(71);
+  ModifiedSample mod =
+      apply_modification(corpus::make_malware(885).bytes(), donor_bytes(),
+                         cfg, rng);
+  EnsembleOptimizer opt({&det_->net(), &second});
+  float loss = 0.0f;
+  for (int i = 0; i < 4; ++i) loss = opt.step(mod);
+  EXPECT_EQ(util::fnv1a64(mod.bytes), 0x00b4b8d9f71c755eULL);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(loss), 0x3edaa0d4u);
 }
 
 TEST_F(TinyNetFixture, OptimizerPreservesFunctionality) {

@@ -65,15 +65,22 @@ class Scripted : public attack::Attack {
   int calls_ = 0;
 };
 
-TEST(Harness, RunCellComputesMetrics) {
-  const FlagsFirstQueries det(3);  // first benign verdict: query 4
-  Scripted atk;
+std::vector<ByteBuf> scripted_samples() {
   std::vector<ByteBuf> samples;
   for (int i = 0; i < 6; ++i)
     samples.push_back(corpus::make_malware(8800 + i).bytes());
+  return samples;
+}
+
+TEST(Harness, RunCellComputesMetrics) {
+  const FlagsFirstQueries det(3);  // first benign verdict: query 4
+  Scripted atk;
+  const std::vector<ByteBuf> samples = scripted_samples();
   ExperimentConfig cfg;
   cfg.max_queries = 10;
-  const CellStats stats = run_cell(atk, det, samples, samples, cfg);
+  std::vector<ByteBuf> aes;
+  const CellStats stats =
+      run_cell(atk, det, samples, samples, cfg, nullptr, &aes);
   EXPECT_EQ(stats.n, 6u);
   EXPECT_EQ(stats.successes, 3u);
   EXPECT_DOUBLE_EQ(stats.asr, 50.0);
@@ -85,7 +92,33 @@ TEST(Harness, RunCellComputesMetrics) {
   EXPECT_DOUBLE_EQ(stats.apr, 100.0);
   // Appended zeros are inert overlay, so functionality is preserved.
   EXPECT_DOUBLE_EQ(stats.functional, 100.0);
-  EXPECT_EQ(stats.aes.size(), 3u);
+  EXPECT_EQ(aes.size(), 3u);
+}
+
+TEST(Harness, RunCellAeOutputLeavesResultsUnchanged) {
+  const std::vector<ByteBuf> samples = scripted_samples();
+  ExperimentConfig cfg;
+  cfg.max_queries = 10;
+  // Fresh detector and attack per run: both keep per-run state.
+  const auto run = [&](std::vector<ByteBuf>* aes) {
+    const FlagsFirstQueries det(3);
+    Scripted atk;
+    return run_cell(atk, det, samples, samples, cfg, nullptr, aes);
+  };
+  std::vector<ByteBuf> aes;
+  const CellStats with = run(&aes);
+  const CellStats without = run(nullptr);
+  EXPECT_EQ(with.result_digest(), without.result_digest());
+  EXPECT_EQ(with.ae_digest, without.ae_digest);
+  EXPECT_NE(with.ae_digest, 0u);
+  // Scripted persists (and succeeds) on its odd calls: samples 0, 2, 4, in
+  // sample order, each doubled with zero bytes.
+  ASSERT_EQ(aes.size(), 3u);
+  for (std::size_t i = 0; i < aes.size(); ++i) {
+    ByteBuf expected = samples[2 * i];
+    expected.resize(2 * expected.size(), 0);
+    EXPECT_EQ(aes[i], expected) << "AE " << i;
+  }
 }
 
 TEST(Harness, MakeAttackSetOnlyReturnsDetectedSamples) {
@@ -113,7 +146,7 @@ TEST(Harness, CellCacheRoundTrip) {
   cells[0].avq = 3.5;
   cells[0].apr = 120.0;
   cells[0].functional = 100.0;
-  cells[0].aes = {ByteBuf{1, 2, 3}, ByteBuf{4, 5}};
+  cells[0].ae_digest = 0xAE;
   cells[1].attack = "B";
   cells[1].target = "T";
   save_cells("unittest", cfg, cells);
@@ -123,8 +156,17 @@ TEST(Harness, CellCacheRoundTrip) {
   EXPECT_EQ((*loaded)[0].attack, "A");
   EXPECT_EQ((*loaded)[0].successes, 7u);
   EXPECT_DOUBLE_EQ((*loaded)[0].avq, 3.5);
-  EXPECT_EQ((*loaded)[0].aes[0], (ByteBuf{1, 2, 3}));
+  EXPECT_EQ((*loaded)[0].ae_digest, 0xAEu);
   EXPECT_EQ((*loaded)[1].attack, "B");
+
+  // A grid saved without AE bytes misses for a caller that needs them.
+  CellAes aes;
+  EXPECT_FALSE(load_cells("unittest", cfg, &aes).has_value());
+  const CellAes saved = {{ByteBuf{1, 2, 3}, ByteBuf{4, 5}}, {}};
+  save_cells("unittest", cfg, cells, &saved);
+  ASSERT_TRUE(load_cells("unittest", cfg, &aes).has_value());
+  EXPECT_EQ(aes, saved);
+  EXPECT_TRUE(load_cells("unittest", cfg).has_value());
 
   ExperimentConfig other = cfg;
   other.seed = 123;  // digest changes -> cache miss
