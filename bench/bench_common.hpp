@@ -174,26 +174,9 @@ class BenchReport {
     }
     out += "]";
 
-    out += ",\"spans\":[";
-    const std::vector<obs::SpanRow> rows = obs::span_snapshot();
-    bool first_span = true;
-    for (const obs::SpanRow& r : rows) {
-      if (!first_span) out += ',';
-      first_span = false;
-      out += "{\"path\":\"";
-      obs::json_escape(out, r.path);
-      out += "\",\"count\":";
-      obs::json_number(out, static_cast<double>(r.count));
-      out += ",\"total_ms\":";
-      obs::json_number(out, static_cast<double>(r.total_ns) / 1e6);
-      out += ",\"self_ms\":";
-      obs::json_number(out, static_cast<double>(r.self_ns()) / 1e6);
-      out += ",\"child_ms\":";
-      obs::json_number(out, static_cast<double>(r.child_ns) / 1e6);
-      out += '}';
-    }
-    out += "]}";
-    out += '\n';
+    out += ",\"spans\":";
+    obs::append_span_rows(out, obs::span_snapshot());
+    out += "}\n";
 
     std::filesystem::path dir = ".";
     if (const char* d = std::getenv("MPASS_BENCH_DIR"); d && *d) dir = d;

@@ -35,7 +35,7 @@ ExperimentConfig ExperimentConfig::from_env() {
 }
 
 std::uint64_t ExperimentConfig::digest() const {
-  std::uint64_t h = 12;  // bump to invalidate cached results
+  std::uint64_t h = 13;  // bump to invalidate cached results
   h = util::hash_combine(h, n_samples);
   h = util::hash_combine(h, max_queries);
   h = util::hash_combine(h, seed);
@@ -516,7 +516,7 @@ std::vector<CellStats> run_grid(std::string_view key,
               c.asr, c.avq, c.apr, c.wall_ms, c.qps);
   }
   save_cells(key, cfg, cells, aes);
-  obs::write_metrics_snapshot();
+  obs::write_span_snapshot();
   return cells;
 }
 
@@ -564,34 +564,18 @@ std::vector<CellStats> random_data_grid(const ExperimentConfig& cfg) {
 LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
   // Fig. 4 extends the Fig. 3 run, adding the no-shuffle MPass ablation so
-  // the shuffle strategy's role in surviving AV learning is visible.
-  CellAes aes;
+  // the shuffle strategy's role in surviving AV learning is visible. It runs
+  // through run_grid like the MPass row, so both attack the same samples
+  // (gated on all five AVs) by construction.
+  static constexpr std::string_view kNoShuffle[] = {"MPass-noshuffle"};
+  CellAes aes, extra_aes;
   std::vector<CellStats> cells = av_grid(cfg, &aes);
-  {
-    const std::string_view key = "avs-noshuffle";
-    std::vector<CellStats> extra;
-    CellAes extra_aes;
-    if (auto cached = load_cells(key, cfg, &extra_aes)) {
-      extra = *cached;
-    } else {
-      std::vector<const detect::Detector*> gate;
-      std::vector<ByteBuf> samples;
-      for (const auto& av : zoo.avs()) {
-        auto atk = make_attack("MPass-noshuffle", zoo, av->name());
-        if (samples.empty()) {
-          gate.assign(1, av.get());
-          samples = make_attack_set(gate, cfg.n_samples, cfg.seed);
-        }
-        extra_aes.emplace_back();
-        extra.push_back(run_cell(*atk, *av, samples, samples, cfg, nullptr,
-                                 &extra_aes.back()));
-      }
-      save_cells(key, cfg, extra, &extra_aes);
-    }
-    cells.insert(cells.end(), extra.begin(), extra.end());
-    aes.insert(aes.end(), std::make_move_iterator(extra_aes.begin()),
-               std::make_move_iterator(extra_aes.end()));
-  }
+  const std::vector<CellStats> extra =
+      run_grid("avs-noshuffle", kNoShuffle, av_targets(), false, cfg,
+               &extra_aes);
+  cells.insert(cells.end(), extra.begin(), extra.end());
+  aes.insert(aes.end(), std::make_move_iterator(extra_aes.begin()),
+             std::make_move_iterator(extra_aes.end()));
 
   LearningTimeline tl;
   for (const auto& av : zoo.avs()) tl.avs.emplace_back(av->name());

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <type_traits>
 
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "util/bytes.hpp"
 
@@ -85,11 +84,6 @@ ByteConvNet::ByteConvNet(const ByteConvNet& other)
 std::size_t ByteConvNet::time_steps(std::size_t n_tokens) const {
   if (n_tokens < static_cast<std::size_t>(cfg_.width)) return 0;
   return (n_tokens - cfg_.width) / cfg_.stride + 1;
-}
-
-float ByteConvNet::forward(std::span<const std::uint8_t> bytes) {
-  OBS_SCOPE("ml.byteconv.forward");
-  return full_forward(bytes);
 }
 
 namespace {
@@ -235,9 +229,8 @@ void ByteConvNet::dense_head() {
   prob_ = sigmoidf(z_);
 }
 
-float ByteConvNet::full_forward(std::span<const std::uint8_t> bytes) {
-  static const obs::Counter count_full("ml.forward.full");
-  count_full.inc();
+float ByteConvNet::forward(std::span<const std::uint8_t> bytes) {
+  OBS_SCOPE("ml.byteconv.forward");
   const int d = cfg_.embed_dim;
   const int F = cfg_.filters;
   const int W = cfg_.width;
@@ -290,8 +283,6 @@ bool ByteConvNet::cache_usable(std::size_t n, std::size_t n_tok) const {
 float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
                                std::span<const ByteRange> ranges) {
   OBS_SCOPE("ml.forward_delta");
-  static const obs::Counter count_delta("ml.forward.delta");
-  count_delta.inc();
   const int F = cfg_.filters;
   const int W = cfg_.width;
   const int S = cfg_.stride;
@@ -397,6 +388,9 @@ float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
 }
 
 float ByteConvNet::forward_auto(std::span<const std::uint8_t> bytes) {
+  // Calls with neither an ml.byteconv.forward nor an ml.forward_delta
+  // child span are cache hits; the span's self time is the token diff.
+  OBS_SCOPE("ml.forward_auto");
   const std::size_t n = std::min(bytes.size(), cfg_.max_len);
   const std::size_t n_tok =
       std::max<std::size_t>(n, static_cast<std::size_t>(cfg_.width));
@@ -419,11 +413,7 @@ float ByteConvNet::forward_auto(std::span<const std::uint8_t> bytes) {
     }
     if (dirty_bytes * 2 > n_tok) return forward(bytes);
   }
-  if (ranges.empty()) {
-    static const obs::Counter count_cached("ml.forward.cached");
-    count_cached.inc();
-    return prob_;  // byte-identical to the cached input
-  }
+  if (ranges.empty()) return prob_;  // byte-identical to the cached input
   return apply_delta(bytes, ranges);
 }
 

@@ -123,7 +123,6 @@ class ByteConvNet {
   void pool_and_head();
   /// Dense head only (pooled_ -> prob_).
   void dense_head();
-  float full_forward(std::span<const std::uint8_t> bytes);
   /// Half-open range of token positions (or timesteps).
   struct ByteRange {
     std::size_t lo = 0;

@@ -18,8 +18,8 @@ namespace mpass::obs {
 
 namespace {
 
-// Caps chosen the way kMaxMetrics is: reserve() to them at startup so the
-// vectors never reallocate and ids can be indexed without the core lock.
+// Hard caps, reserve()d at startup so the vectors never reallocate and ids
+// can be indexed without the core lock.
 constexpr std::size_t kMaxSites = 512;
 constexpr std::size_t kMaxPaths = 8192;
 // Per-shard bound on buffered Chrome events; pops beyond it are counted
@@ -52,10 +52,10 @@ struct ProfileEvent {
   std::uint64_t flow = 0;     // flow events
 };
 
-// Per-thread slot shard, same contract as the metrics Shard: the owning
-// thread updates slots with relaxed atomics, growth and snapshot serialize
-// through the mutex. The Chrome event buffer shares the mutex (profiling
-// appends are owner-only, so the lock is uncontended except during flush).
+// Per-thread slot shard: the owning thread updates slots with relaxed
+// atomics, growth and snapshot serialize through the mutex. The Chrome
+// event buffer shares the mutex (profiling appends are owner-only, so the
+// lock is uncontended except during flush).
 struct SpanShard {
   mutable std::mutex mu;
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
@@ -356,25 +356,30 @@ std::vector<SpanRow> span_snapshot() {
   return rows;
 }
 
-std::string spans_to_json(const std::vector<SpanRow>& rows) {
-  std::string s = "{\"schema_version\":1,\"spans\":[";
-  bool first = true;
-  for (const SpanRow& r : rows) {
-    if (!first) s += ',';
-    first = false;
-    s += "{\"path\":";
-    s += json_quote(r.path);
-    s += ",\"count\":";
-    json_number(s, static_cast<double>(r.count));
-    s += ",\"total_ms\":";
-    json_number(s, static_cast<double>(r.total_ns) / 1e6);
-    s += ",\"self_ms\":";
-    json_number(s, static_cast<double>(r.self_ns()) / 1e6);
-    s += ",\"child_ms\":";
-    json_number(s, static_cast<double>(r.child_ns) / 1e6);
-    s += '}';
+void append_span_rows(std::string& out, const std::vector<SpanRow>& rows) {
+  out += '[';
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const SpanRow& r = rows[i];
+    if (i) out += ',';
+    out += "{\"path\":";
+    out += json_quote(r.path);
+    out += ",\"count\":";
+    json_number(out, static_cast<double>(r.count));
+    out += ",\"total_ms\":";
+    json_number(out, static_cast<double>(r.total_ns) / 1e6);
+    out += ",\"self_ms\":";
+    json_number(out, static_cast<double>(r.self_ns()) / 1e6);
+    out += ",\"child_ms\":";
+    json_number(out, static_cast<double>(r.child_ns) / 1e6);
+    out += '}';
   }
-  s += "]}";
+  out += ']';
+}
+
+std::string spans_to_json(const std::vector<SpanRow>& rows) {
+  std::string s = "{\"schema_version\":1,\"spans\":";
+  append_span_rows(s, rows);
+  s += '}';
   return s;
 }
 

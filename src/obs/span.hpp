@@ -1,12 +1,16 @@
-// Hierarchical span profiler: the repository's one timing path.
+// Hierarchical span profiler: the repository's one timing path and its one
+// counter.
 //
 // Every OBS_SCOPE site is a *span*: a node in the calling thread's call-path
 // tree. Spans answer "how much of harness.run_cell's time is pe.parse, and
-// how much is its own?" -- total time and self time are accumulated per
-// *call path* (e.g. "harness.run_cell/pool.task/attack.mpass.run/
-// pe.parse"), not per site.
+// how much is its own?" -- call count, total time and self time are
+// accumulated per *call path* (e.g. "harness.run_cell/pool.task/
+// attack.mpass.run/pe.parse"), not per site. "How often did X run" is X's
+// span count: summed over the paths ending in X, or read per path (e.g.
+// the ml.forward_auto calls with no ml.byteconv.forward or ml.forward_delta
+// child are the byte-conv cache hits).
 //
-// Design (mirrors obs::Metrics):
+// Design:
 //   * Sites and call paths are interned once under a core mutex; the hot
 //     path caches (parent path, site) -> path in a thread-local map, so a
 //     warm push/pop is a couple of clock reads plus relaxed atomic adds on
@@ -96,8 +100,13 @@ struct SpanRow {
 /// Deterministic merged view of every completed span, sorted by path.
 std::vector<SpanRow> span_snapshot();
 
-/// {"schema_version":1,"spans":[{"path","count","total_ms","self_ms",
-/// "child_ms"},...]} -- the schema tools/mpass_prof and BENCH_*.json embed.
+/// Appends the rows as a JSON array of {"path","count","total_ms","self_ms",
+/// "child_ms"} objects -- the one span-row writer, shared by spans.json and
+/// the "spans" key of BENCH_*.json.
+void append_span_rows(std::string& out, const std::vector<SpanRow>& rows);
+
+/// {"schema_version":1,"spans":[...]} -- the spans.json document
+/// tools/mpass_prof reads.
 std::string spans_to_json(const std::vector<SpanRow>& rows);
 
 // ---- cross-thread handoff (used by util::ThreadPool) ------------------------

@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace mpass::obs {
@@ -174,19 +173,15 @@ void append_run_line(std::string_view file, std::string line) {
     out.write(line.data(), static_cast<std::streamsize>(line.size()));
 }
 
-void write_metrics_snapshot() {
+void write_span_snapshot() {
   const std::filesystem::path* dir = trace_dir();
   if (!dir) return;
   std::error_code ec;
   std::filesystem::create_directories(*dir, ec);
-  const std::string json = Registry::instance().snapshot().to_json();
-  std::ofstream out(*dir / "metrics.json", std::ios::binary | std::ios::trunc);
-  if (out) out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  // Call-path view of the same run, consumed by `mpass_prof top/tree/export`.
+  // Call-path profile of the run, consumed by `mpass_prof top/tree/export`.
   const std::string spans = spans_to_json(span_snapshot());
-  std::ofstream sout(*dir / "spans.json", std::ios::binary | std::ios::trunc);
-  if (sout)
-    sout.write(spans.data(), static_cast<std::streamsize>(spans.size()));
+  std::ofstream out(*dir / "spans.json", std::ios::binary | std::ios::trunc);
+  if (out) out.write(spans.data(), static_cast<std::streamsize>(spans.size()));
 }
 
 }  // namespace mpass::obs

@@ -87,9 +87,8 @@ class Event {
 /// trace directory; serialized by a global mutex. No-op when disabled.
 void append_run_line(std::string_view file, std::string line);
 
-/// Writes the current metrics snapshot to <trace dir>/metrics.json and the
-/// current span snapshot (call-path profile, obs/span.hpp) to
-/// <trace dir>/spans.json. No-op when disabled.
-void write_metrics_snapshot();
+/// Writes the current span snapshot (call-path profile with per-path call
+/// counts, obs/span.hpp) to <trace dir>/spans.json. No-op when disabled.
+void write_span_snapshot();
 
 }  // namespace mpass::obs

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "obs/json.hpp"
+#include "obs/profile.hpp"
 
 namespace mpass::obs {
 
@@ -265,14 +266,14 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
       rep.data.samples.push_back(std::move(*sample));
   }
 
-  if (std::filesystem::exists(dir / "metrics.json")) {
-    const std::optional<std::string> text = read_text(dir / "metrics.json");
+  if (std::filesystem::exists(dir / "spans.json")) {
+    const std::optional<std::string> text = read_text(dir / "spans.json");
     const std::optional<Json> parsed =
         text ? Json::parse(*text) : std::nullopt;
-    if (!parsed || !parsed->is_object() || !parsed->get("counters"))
-      rep.errors.push_back("metrics.json: malformed snapshot");
+    if (!parsed || !parse_spans(*parsed))
+      rep.errors.push_back("spans.json: malformed span profile");
     else
-      rep.data.has_metrics = true;
+      rep.data.has_spans = true;
   }
 
   // Query-budget and AVQ reconciliation: per (attack, target), the *last*

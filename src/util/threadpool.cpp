@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <string>
 
-#include "obs/metrics.hpp"
 #include "obs/span.hpp"
 
 namespace mpass::util {
@@ -14,21 +13,6 @@ namespace {
 // tasks to its own deque; threads foreign to a pool use the injector queue.
 thread_local ThreadPool* tl_pool = nullptr;
 thread_local std::size_t tl_queue = 0;
-
-// Scheduling counters, shared by every pool in the process (the registry
-// merges per-thread shards, so the hot path stays lock-free). Conservation
-// invariant, asserted in test_threadpool.cpp: once drained,
-//   pool.tasks.submitted == pops.local + pops.injector + pops.steal.
-struct PoolMetrics {
-  obs::Counter submits{"pool.tasks.submitted"};
-  obs::Counter pops_local{"pool.pops.local"};
-  obs::Counter pops_injector{"pool.pops.injector"};
-  obs::Counter pops_steal{"pool.pops.steal"};
-  static const PoolMetrics& get() {
-    static PoolMetrics m;
-    return m;
-  }
-};
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -52,16 +36,6 @@ ThreadPool::~ThreadPool() {
 
 ThreadPool& ThreadPool::instance() {
   static ThreadPool pool(env_threads());
-  // Queue-depth gauge for the shared pool only (per-object gauges would
-  // collide on the name; tests construct many short-lived pools).
-  static const bool gauge_registered = [] {
-    obs::Registry::instance().gauge_callback("pool.pending", [] {
-      return static_cast<double>(
-          pool.pending_.load(std::memory_order_relaxed));
-    });
-    return true;
-  }();
-  (void)gauge_registered;
   return pool;
 }
 
@@ -93,7 +67,6 @@ void ThreadPool::push(std::function<void()> task) {
     queues_[qi]->tasks.push_back(std::move(task));
   }
   pending_.fetch_add(1, std::memory_order_release);
-  PoolMetrics::get().submits.inc();
   idle_cv_.notify_one();
 }
 
@@ -116,24 +89,14 @@ bool ThreadPool::pop_front(Queue& q, std::function<void()>& out) {
 }
 
 bool ThreadPool::try_pop(std::size_t self, std::function<void()>& out) {
-  const PoolMetrics& pm = PoolMetrics::get();
-  if (self != 0 && pop_back(*queues_[self], out)) {  // own deque, LIFO
-    pm.pops_local.inc();
-    return true;
-  }
-  if (pop_front(*queues_[0], out)) {  // injector
-    pm.pops_injector.inc();
-    return true;
-  }
+  if (self != 0 && pop_back(*queues_[self], out)) return true;  // own, LIFO
+  if (pop_front(*queues_[0], out)) return true;                  // injector
   // Steal FIFO from the other workers, starting after ourselves so
   // concurrent thieves spread out.
   for (std::size_t k = 1; k < queues_.size(); ++k) {
     const std::size_t victim = 1 + (self + k) % (queues_.size() - 1);
     if (victim == self) continue;
-    if (pop_front(*queues_[victim], out)) {
-      pm.pops_steal.inc();
-      return true;
-    }
+    if (pop_front(*queues_[victim], out)) return true;
   }
   return false;
 }

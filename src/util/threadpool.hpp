@@ -15,15 +15,11 @@
 // Pool size: ThreadPool::instance() honors MPASS_THREADS, defaulting to
 // std::thread::hardware_concurrency().
 //
-// Observability: scheduling counters (pool.tasks.submitted, pool.pops.local
-// / .injector / .steal) go through the obs::Registry; the shared instance()
-// pool also exports a pool.pending queue-depth gauge. The conservation
-// invariant submits == sum(pops) after a drain is tested in
-// test_threadpool.cpp. Span context (obs/span.hpp) propagates across
-// submit(): each task executes under a "pool.task" span parented at the
-// submitting call path -- so stolen tasks profile under their submitter --
-// and, with MPASS_PROFILE set, submit and execution are linked by Chrome
-// flow arrows.
+// Observability: span context (obs/span.hpp) propagates across submit():
+// each task executes under a "pool.task" span parented at the submitting
+// call path -- so stolen tasks profile under their submitter, and the
+// pool's work count is the pool.task span count -- and, with MPASS_PROFILE
+// set, submit and execution are linked by Chrome flow arrows.
 #pragma once
 
 #include <atomic>

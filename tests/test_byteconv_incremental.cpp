@@ -3,15 +3,17 @@
 // tolerance) -- window-straddling edits, truncation-boundary edits at
 // max_len, empty and no-op edits, the whole-buffer fallback, cache
 // invalidation on weight updates, and independent candidates against one
-// base. The ml.forward.full/.delta/.cached counters confirm which path
-// served each call.
+// base. Span counts (ml.byteconv.forward, ml.forward_delta, and
+// ml.forward_auto calls with neither child) confirm which path served each
+// call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string_view>
 #include <vector>
 
 #include "ml/byteconv.hpp"
-#include "obs/metrics.hpp"
+#include "obs/span.hpp"
 #include "util/rng.hpp"
 
 namespace mpass::ml {
@@ -50,14 +52,28 @@ std::vector<ByteConvConfig> all_variants() {
 struct PathCounts {
   std::uint64_t full = 0, delta = 0, cached = 0;
 
+  /// Sums span counts by leaf site over every call path. A forward_auto
+  /// call that opened neither child span was served from the cache.
   static PathCounts now() {
-    const obs::Snapshot s = obs::Registry::instance().snapshot();
-    const auto get = [&s](const char* name) -> std::uint64_t {
-      const auto it = s.counters.find(name);
-      return it == s.counters.end() ? 0 : it->second;
-    };
-    return {get("ml.forward.full"), get("ml.forward.delta"),
-            get("ml.forward.cached")};
+    std::uint64_t full = 0, delta = 0, automatic = 0, auto_children = 0;
+    for (const obs::SpanRow& row : obs::span_snapshot()) {
+      const std::string_view path = row.path;
+      const std::size_t slash = path.rfind('/');
+      const std::string_view leaf =
+          slash == std::string_view::npos ? path : path.substr(slash + 1);
+      const std::string_view parent =
+          slash == std::string_view::npos ? std::string_view{}
+                                          : path.substr(0, slash);
+      const bool under_auto = parent == "ml.forward_auto" ||
+                              parent.ends_with("/ml.forward_auto");
+      if (leaf == "ml.byteconv.forward") full += row.count;
+      if (leaf == "ml.forward_delta") delta += row.count;
+      if (leaf == "ml.forward_auto") automatic += row.count;
+      if (under_auto && (leaf == "ml.byteconv.forward" ||
+                         leaf == "ml.forward_delta"))
+        auto_children += row.count;
+    }
+    return {full, delta, automatic - auto_children};
   }
   PathCounts since(const PathCounts& before) const {
     return {full - before.full, delta - before.delta, cached - before.cached};

@@ -2,7 +2,11 @@
 // result-cache round-trips.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <filesystem>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "harness/experiment.hpp"
 #include "util/hashing.hpp"
@@ -65,6 +69,44 @@ class Scripted : public attack::Attack {
   int calls_ = 0;
 };
 
+/// Clonable variants: run_cell uses the per-sample task path (and the
+/// per-sample result cache) only when both the attack and the target clone.
+/// Every clone starts at call 1, so every sample persists and succeeds.
+class ClonableScripted : public Scripted {
+ public:
+  std::unique_ptr<attack::Attack> clone() const override {
+    return std::make_unique<ClonableScripted>(*this);
+  }
+};
+
+class ClonableFlagsFirstQueries : public FlagsFirstQueries {
+ public:
+  using FlagsFirstQueries::FlagsFirstQueries;
+  std::unique_ptr<detect::Detector> clone() const override {
+    return std::make_unique<ClonableFlagsFirstQueries>(*this);
+  }
+};
+
+/// Points MPASS_CACHE_DIR at a fresh directory for the guard's lifetime and
+/// restores the previous value (or its absence) afterwards.
+struct CacheDirGuard {
+  std::filesystem::path dir;
+  std::optional<std::string> saved;
+  explicit CacheDirGuard(const char* name) {
+    dir = std::filesystem::path(testing::TempDir()) / name;
+    std::filesystem::remove_all(dir);
+    if (const char* v = std::getenv("MPASS_CACHE_DIR")) saved = v;
+    setenv("MPASS_CACHE_DIR", dir.c_str(), 1);
+  }
+  ~CacheDirGuard() {
+    if (saved)
+      setenv("MPASS_CACHE_DIR", saved->c_str(), 1);
+    else
+      unsetenv("MPASS_CACHE_DIR");
+    std::filesystem::remove_all(dir);
+  }
+};
+
 std::vector<ByteBuf> scripted_samples() {
   std::vector<ByteBuf> samples;
   for (int i = 0; i < 6; ++i)
@@ -119,6 +161,36 @@ TEST(Harness, RunCellAeOutputLeavesResultsUnchanged) {
     expected.resize(2 * expected.size(), 0);
     EXPECT_EQ(aes[i], expected) << "AE " << i;
   }
+}
+
+TEST(Harness, RunCellResumesFromPerSampleCache) {
+  const CacheDirGuard guard("mpass_harness_sample_cache");
+  const std::vector<ByteBuf> samples = scripted_samples();
+  ExperimentConfig cfg;
+  cfg.max_queries = 10;
+  cfg.use_cache = true;
+  const auto run = [&](std::vector<ByteBuf>* aes) {
+    const ClonableFlagsFirstQueries det(3);
+    ClonableScripted atk;
+    return run_cell(atk, det, samples, samples, cfg, nullptr, aes);
+  };
+
+  std::vector<ByteBuf> fresh_aes;
+  const CellStats fresh = run(&fresh_aes);
+  EXPECT_EQ(fresh.successes, 6u);
+  EXPECT_EQ(fresh.total_queries, 36u);  // 6 x (4 + 2)
+  EXPECT_GT(fresh.wall_ms, 0.0);
+  ASSERT_EQ(fresh_aes.size(), 6u);
+  ASSERT_TRUE(std::filesystem::exists(guard.dir / "results" / "samples"));
+
+  // Every sample is now a cache hit: nothing executes, the results and the
+  // AE bytes come back from the shards.
+  std::vector<ByteBuf> cached_aes;
+  const CellStats cached = run(&cached_aes);
+  EXPECT_EQ(cached.result_digest(), fresh.result_digest());
+  EXPECT_EQ(cached.total_queries, fresh.total_queries);
+  EXPECT_EQ(cached_aes, fresh_aes);
+  EXPECT_EQ(cached.wall_ms, 0.0);
 }
 
 TEST(Harness, MakeAttackSetOnlyReturnsDetectedSamples) {

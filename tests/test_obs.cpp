@@ -1,88 +1,21 @@
-// Tests for the observability subsystem: metrics registry (exact concurrent
-// counting, deterministic snapshot merging across thread retirement), the
-// JSON helpers, and the JSONL trace sink round-trip through the trace
-// reader/validator that backs tools/mpass_trace.
+// Tests for the observability subsystem: the JSON helpers, and the JSONL
+// trace sink round-trip through the trace reader/validator that backs
+// tools/mpass_trace. The span accumulator is tested in test_span.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/log.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_check.hpp"
 
 namespace mpass::obs {
 namespace {
-
-std::uint64_t counter_value(const Snapshot& s, const std::string& name) {
-  const auto it = s.counters.find(name);
-  return it == s.counters.end() ? 0 : it->second;
-}
-
-TEST(Metrics, ConcurrentIncrementsSumExactly) {
-  Registry& reg = Registry::instance();
-  const MetricId id = reg.counter("test.obs.concurrent");
-  const std::uint64_t before =
-      counter_value(reg.snapshot(), "test.obs.concurrent");
-
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kPerThread = 20000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t)
-    threads.emplace_back([&reg, id] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) reg.inc(id);
-    });
-  for (std::thread& t : threads) t.join();
-
-  const std::uint64_t after =
-      counter_value(reg.snapshot(), "test.obs.concurrent");
-  EXPECT_EQ(after - before, kThreads * kPerThread);
-}
-
-TEST(Metrics, SnapshotMergesRetiredThreadsDeterministically) {
-  Registry& reg = Registry::instance();
-  const MetricId id = reg.counter("test.obs.retired");
-  const std::uint64_t before =
-      counter_value(reg.snapshot(), "test.obs.retired");
-
-  // Increment from threads that exit before the snapshot: their per-thread
-  // shards retire into the core and must still be counted.
-  for (int round = 0; round < 4; ++round) {
-    std::thread t([&reg, id] { reg.inc(id, 25); });
-    t.join();
-  }
-
-  const Snapshot s1 = reg.snapshot();
-  const Snapshot s2 = reg.snapshot();
-  EXPECT_EQ(counter_value(s1, "test.obs.retired") - before, 100u);
-  // No updates between the two snapshots: byte-identical merged views.
-  EXPECT_EQ(s1.counters, s2.counters);
-  EXPECT_EQ(s1.to_json(), s2.to_json());
-}
-
-TEST(Metrics, KindMismatchThrows) {
-  Registry& reg = Registry::instance();
-  reg.counter("test.obs.kind");
-  EXPECT_THROW(reg.gauge("test.obs.kind"), std::invalid_argument);
-  reg.gauge("test.obs.kind.gauge");
-  EXPECT_THROW(reg.counter("test.obs.kind.gauge"), std::invalid_argument);
-}
-
-TEST(Metrics, GaugeAndCallbackGaugeAppearInSnapshot) {
-  Registry& reg = Registry::instance();
-  reg.set(reg.gauge("test.obs.gauge"), 2.5);
-  reg.gauge_callback("test.obs.cbgauge", [] { return 7.0; });
-  const Snapshot s = reg.snapshot();
-  EXPECT_DOUBLE_EQ(s.gauges.at("test.obs.gauge"), 2.5);
-  EXPECT_DOUBLE_EQ(s.gauges.at("test.obs.cbgauge"), 7.0);
-}
 
 TEST(Json, LineBuilderOutputParsesBack) {
   JsonLine line;
@@ -206,15 +139,26 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   emit_sample("MPass", "MalConv", 0x2, 7);
   append_run_line("cells.jsonl",
                   cell_line("MPass", "MalConv", 2, 2, 12, 2, 12));
-  write_metrics_snapshot();
-  ASSERT_TRUE(std::filesystem::exists(guard.dir / "metrics.json"));
+  write_span_snapshot();
+  ASSERT_TRUE(std::filesystem::exists(guard.dir / "spans.json"));
 
   const TraceCheckReport ok = check_trace_dir(guard.dir);
   EXPECT_TRUE(ok.ok()) << ok.errors.front();
   EXPECT_EQ(ok.data.samples.size(), 2u);
   ASSERT_EQ(ok.data.cells.size(), 1u);
   EXPECT_EQ(ok.data.cells[0].total_queries, 12u);
-  EXPECT_TRUE(ok.data.has_metrics);
+  EXPECT_TRUE(ok.data.has_spans);
+
+  // A malformed span profile is exactly one error.
+  {
+    std::ofstream(guard.dir / "spans.json", std::ios::trunc)
+        << "{\"spans\":[{\"count\":1}]}";
+  }
+  const TraceCheckReport bad_spans = check_trace_dir(guard.dir);
+  ASSERT_EQ(bad_spans.errors.size(), 1u);
+  EXPECT_NE(bad_spans.errors[0].find("spans.json"), std::string::npos);
+  EXPECT_FALSE(bad_spans.data.has_spans);
+  write_span_snapshot();
 
   // A fully-traced cell whose query totals disagree must fail the check.
   append_run_line("cells.jsonl",

@@ -151,6 +151,9 @@ TEST(Span, CrossThreadPropagationUnderContention) {
     ASSERT_TRUE(rows.count(root)) << root;
     ASSERT_TRUE(rows.count(root + "/pool.task")) << root;
     ASSERT_TRUE(rows.count(root + "/pool.task/t.span.leaf")) << root;
+    // The submitter thread exited before the snapshot: its root span is
+    // counted once, from the totals its shard retired on exit.
+    EXPECT_EQ(rows.at(root).count, 1u) << root;
 
     const SpanRow& task = rows.at(root + "/pool.task");
     const SpanRow& leaf = rows.at(root + "/pool.task/t.span.leaf");
@@ -163,6 +166,19 @@ TEST(Span, CrossThreadPropagationUnderContention) {
     EXPECT_EQ(task.self_ns() + static_cast<std::int64_t>(task.child_ns),
               static_cast<std::int64_t>(task.total_ns));
     EXPECT_GE(leaf.total_ns, static_cast<std::uint64_t>(kTasksPer) * 5000u);
+  }
+
+  // Nothing runs between two snapshots: the merge of live and retired
+  // shards gives equal rows both times.
+  const std::vector<SpanRow> a = span_snapshot();
+  const std::vector<SpanRow> b = span_snapshot();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].path, b[i].path);
+    EXPECT_EQ(a[i].depth, b[i].depth);
+    EXPECT_EQ(a[i].count, b[i].count) << a[i].path;
+    EXPECT_EQ(a[i].total_ns, b[i].total_ns) << a[i].path;
+    EXPECT_EQ(a[i].child_ns, b[i].child_ns) << a[i].path;
   }
 }
 

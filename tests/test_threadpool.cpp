@@ -12,47 +12,10 @@
 #include "corpus/generator.hpp"
 #include "detectors/models.hpp"
 #include "harness/experiment.hpp"
-#include "obs/metrics.hpp"
 #include "util/threadpool.hpp"
 
 namespace mpass {
 namespace {
-
-TEST(ThreadPool, SchedulingCountersConserveTasks) {
-  const auto read = [] {
-    const obs::Snapshot s = obs::Registry::instance().snapshot();
-    const auto get = [&s](const char* name) -> std::uint64_t {
-      const auto it = s.counters.find(name);
-      return it == s.counters.end() ? 0 : it->second;
-    };
-    struct {
-      std::uint64_t submitted, pops;
-    } r{get("pool.tasks.submitted"),
-        get("pool.pops.local") + get("pool.pops.injector") +
-            get("pool.pops.steal")};
-    return r;
-  };
-
-  const auto before = read();
-  constexpr int kTasks = 500;
-  {
-    util::ThreadPool pool(4);
-    std::vector<std::future<int>> futs;
-    futs.reserve(kTasks);
-    for (int i = 0; i < kTasks; ++i)
-      futs.push_back(pool.submit([i] { return i; }));
-    for (auto& f : futs) pool.wait(std::move(f));
-    // ~ThreadPool drains any stragglers before the pool goes away.
-  }
-  const auto after = read();
-
-  // Conservation: every submitted task was popped exactly once, whether
-  // locally, from the injector, or by a thief. Deltas are used because the
-  // registry is process-global and other tests also schedule work.
-  EXPECT_GE(after.submitted - before.submitted,
-            static_cast<std::uint64_t>(kTasks));
-  EXPECT_EQ(after.submitted - before.submitted, after.pops - before.pops);
-}
 
 TEST(ThreadPool, CompletesAllTasksWithResults) {
   util::ThreadPool pool(4);

@@ -77,7 +77,7 @@ int cmd_run(int argc, char** argv) {
     OBS_SCOPE("fuzz.campaign");
     return fuzzer.run();
   }();
-  obs::write_metrics_snapshot();
+  obs::write_span_snapshot();
   obs::flush_profile();
   std::printf(
       "fuzz: %zu iterations (seed %llu): parse ok %zu / rejected %zu, "

@@ -1,11 +1,11 @@
-// Trace inspector for MPASS_TRACE directories and metrics snapshots.
+// Trace inspector for MPASS_TRACE directories. The run's span profile
+// (spans.json) is read by tools/mpass_prof.
 //
 //   mpass_trace check <dir>      validate every JSONL line + reconcile
 //                                query budgets and first evasions (AVQ)
 //                                (exit 1 on violations)
 //   mpass_trace summary <dir>    per-attack query-budget breakdown and
 //                                ensemble-loss curves
-//   mpass_trace diff <a> <b>     compare two metrics.json snapshots
 //
 // `--check` is accepted as an alias of `check` (CI convenience).
 #include <algorithm>
@@ -14,22 +14,18 @@
 #include <string>
 #include <vector>
 
-#include "obs/json.hpp"
 #include "obs/trace_check.hpp"
-#include "util/serialize.hpp"
 
 namespace {
 
 using mpass::obs::CellTraceData;
-using mpass::obs::Json;
 using mpass::obs::SampleTraceData;
 using mpass::obs::TraceCheckReport;
 
 int usage() {
   std::fprintf(stderr,
                "usage: mpass_trace check <trace-dir>\n"
-               "       mpass_trace summary <trace-dir>\n"
-               "       mpass_trace diff <a/metrics.json> <b/metrics.json>\n");
+               "       mpass_trace summary <trace-dir>\n");
   return 2;
 }
 
@@ -140,59 +136,6 @@ int run_summary(const std::filesystem::path& dir) {
   return 0;
 }
 
-/// Loads a metrics.json snapshot into flat name -> value pairs (counters
-/// and gauges).
-std::optional<std::map<std::string, double>> load_metrics(
-    const std::filesystem::path& path) {
-  const auto blob = mpass::util::load_file(path);
-  if (!blob) {
-    std::fprintf(stderr, "cannot read %s\n", path.string().c_str());
-    return std::nullopt;
-  }
-  const auto doc =
-      Json::parse(std::string_view(reinterpret_cast<const char*>(blob->data()),
-                                   blob->size()));
-  if (!doc || !doc->is_object()) {
-    std::fprintf(stderr, "%s: not a JSON object\n", path.string().c_str());
-    return std::nullopt;
-  }
-  std::map<std::string, double> flat;
-  if (const Json* counters = doc->get("counters"); counters)
-    for (const auto& [name, v] : counters->fields())
-      if (v.is_number()) flat[name] = v.number();
-  if (const Json* gauges = doc->get("gauges"); gauges)
-    for (const auto& [name, v] : gauges->fields())
-      if (v.is_number()) flat[name] = v.number();
-  return flat;
-}
-
-int run_diff(const std::filesystem::path& a_path,
-             const std::filesystem::path& b_path) {
-  const auto a = load_metrics(a_path);
-  const auto b = load_metrics(b_path);
-  if (!a || !b) return 2;
-
-  std::vector<std::string> names;
-  for (const auto& [name, v] : *a) names.push_back(name);
-  for (const auto& [name, v] : *b)
-    if (!a->count(name)) names.push_back(name);
-  std::sort(names.begin(), names.end());
-
-  std::printf("%-40s %14s %14s %14s\n", "metric", "a", "b", "delta");
-  std::size_t changed = 0;
-  for (const std::string& name : names) {
-    const auto ia = a->find(name), ib = b->find(name);
-    const double va = ia == a->end() ? 0.0 : ia->second;
-    const double vb = ib == b->end() ? 0.0 : ib->second;
-    if (va == vb) continue;
-    ++changed;
-    std::printf("%-40s %14.6g %14.6g %+14.6g\n", name.c_str(), va, vb,
-                vb - va);
-  }
-  std::printf("%zu metrics differ (of %zu)\n", changed, names.size());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -200,9 +143,5 @@ int main(int argc, char** argv) {
   const std::string_view cmd = argv[1];
   if (cmd == "check" || cmd == "--check") return run_check(argv[2]);
   if (cmd == "summary") return run_summary(argv[2]);
-  if (cmd == "diff") {
-    if (argc < 4) return usage();
-    return run_diff(argv[2], argv[3]);
-  }
   return usage();
 }
