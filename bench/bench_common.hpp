@@ -65,7 +65,7 @@ inline std::vector<std::string> main_attacks() {
 }
 
 /// Prints the per-cell compute-time / query-throughput counters collected
-/// by run_cell (all ~0 when the grid came straight from the result cache).
+/// by run_cell (0 when every sample came from the result cache).
 /// wall_ms sums sample-task durations, so cells are comparable even though
 /// they interleave on the shared pool.
 inline void print_cell_timings(const std::vector<harness::CellStats>& cells) {

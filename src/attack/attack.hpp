@@ -24,8 +24,9 @@ class Attack {
   virtual std::string_view name() const = 0;
 
   /// Attacks one malware sample through the hard-label oracle; the oracle
-  /// carries the per-sample query budget. Attacks may keep cross-sample
-  /// state (RL policies, bandit posteriors) -- real attackers do.
+  /// carries the per-sample query budget. The harness runs every sample on
+  /// a fresh clone, so state learned during one run (RL policies, bandit
+  /// posteriors) never carries over to another sample.
   virtual AttackResult run(std::span<const std::uint8_t> malware,
                            detect::HardLabelOracle& oracle,
                            std::uint64_t seed) = 0;
@@ -33,10 +34,8 @@ class Attack {
   /// Deep copy of this attack's current state (donor pools, learned
   /// policies, owned surrogate models). The harness gives every parallel
   /// (target, attack, sample) task its own clone, so per-sample runs are
-  /// independent of scheduling order. Returning nullptr marks the attack
-  /// non-clonable; such attacks run their samples sequentially on the
-  /// shared instance (order-dependent cross-sample state preserved).
-  virtual std::unique_ptr<Attack> clone() const { return nullptr; }
+  /// independent of scheduling order. Never null.
+  virtual std::unique_ptr<Attack> clone() const = 0;
 };
 
 /// APR of an AE: (|adv| - |orig|) / |orig|, 0 for an empty original.

@@ -1,5 +1,6 @@
 #include "attack/malrnn.hpp"
 
+#include "obs/trace.hpp"
 #include "pe/pe.hpp"
 
 namespace mpass::attack {
@@ -38,7 +39,17 @@ AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
     pe.overlay.insert(pe.overlay.end(), generated.begin(), generated.end());
     appended += generated.size();
 
-    ByteBuf sample = pe.build();
+    pe::Layout layout;
+    ByteBuf sample = pe.build_with_layout(&layout);
+    // Where the chunk landed: byte nets read only a file's first max_len
+    // bytes, so an append past that window cannot move their score.
+    if (obs::tracing())
+      obs::Event("action")
+          .str("kind", "malrnn_append")
+          .uint("offset", layout.overlay_offset + pe.overlay.size() -
+                              generated.size())
+          .uint("len", generated.size())
+          .uint("size", sample.size());
     const bool detected = oracle.query(sample);
     if (!detected) {
       result.success = true;

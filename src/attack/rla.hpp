@@ -4,8 +4,9 @@
 // A tabular Q-learning agent over coarse PE-state fingerprints chooses
 // manipulation actions (including the risky overlay actions that cause the
 // 23% functionality-broken AEs reported in §IV-A). Each mutation costs one
-// hard-label query; the policy persists across samples, as the original
-// attack trains across an episode corpus.
+// hard-label query; the policy persists across the episodes of one run. The
+// harness runs each sample on a fresh clone, so it never carries over to
+// another sample.
 #pragma once
 
 #include <unordered_map>

@@ -26,10 +26,8 @@ class Detector {
 
   /// Deep copy carrying the trained state *and* the threshold. Concurrent
   /// attack tasks each query a private clone, so detectors whose score()
-  /// mutates internal forward caches never race. Returning nullptr marks
-  /// the detector non-clonable; the harness then falls back to running its
-  /// samples sequentially against the shared instance.
-  virtual std::unique_ptr<Detector> clone() const { return nullptr; }
+  /// mutates internal forward caches never race. Never null.
+  virtual std::unique_ptr<Detector> clone() const = 0;
 
   double threshold() const { return threshold_; }
   void set_threshold(double t) { threshold_ = t; }

@@ -73,7 +73,7 @@ struct SampleOutcome {
   std::uint64_t total_queries = 0;  // oracle counter incl. failed runs
   double apr = 0.0;                 // from the returned bytes
   bool functional = false;
-  double ms = 0.0;  // attack compute time; not cached -- hits cost ~0
+  double ms = 0.0;  // attack compute time; not cached -- hits cost 0
   // True when loaded from the per-sample cache (never serialized). Cache
   // hits skip the attack entirely, so they produce no trace file; run_cell
   // reports the fresh-run count as "traced" in cells.jsonl so the trace
@@ -206,45 +206,35 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
                                          : originals_for_sandbox[i];
   };
 
-  // Probe the clone contract once; prototypes are discarded.
-  const bool clonable = atk.clone() != nullptr && target.clone() != nullptr;
-
-  std::vector<SampleOutcome> outcomes(samples.size());
-  if (clonable) {
-    // One task per sample. Each task owns a cloned attack + cloned target
-    // (no shared forward caches) and consults the per-sample result cache
-    // first, so interrupted runs resume where they stopped.
-    const auto shard = sample_shard_dir(cfg, stats.attack, stats.target);
-    util::ThreadPool& tp = pool ? *pool : util::ThreadPool::instance();
-    std::vector<std::future<SampleOutcome>> futs;
-    futs.reserve(samples.size());
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-      futs.push_back(tp.submit([&, i]() -> SampleOutcome {
-        const auto path = sample_path(shard, digests[i]);
-        if (cfg.use_cache)
-          if (auto hit = load_sample(path)) {
-            hit->from_cache = true;
-            return *hit;
-          }
-        const std::unique_ptr<attack::Attack> a = atk.clone();
-        const std::unique_ptr<detect::Detector> t = target.clone();
-        const vm::Sandbox sandbox;
-        SampleOutcome out = attack_one(*a, *t, sandbox, samples[i],
-                                       original_of(i), cfg, digests[i]);
-        if (cfg.use_cache) save_sample(path, out);
-        return out;
-      }));
-    }
-    // Collect in sample order (tasks complete in any order; the aggregate
-    // below is order-deterministic regardless).
-    for (std::size_t i = 0; i < futs.size(); ++i)
-      outcomes[i] = tp.wait(std::move(futs[i]));
-  } else {
-    const vm::Sandbox sandbox;
-    for (std::size_t i = 0; i < samples.size(); ++i)
-      outcomes[i] = attack_one(atk, target, sandbox, samples[i],
-                               original_of(i), cfg, digests[i]);
+  // One task per sample. Each task owns a cloned attack + cloned target (no
+  // shared forward caches) and consults its per-sample shard first, so
+  // interrupted runs resume where they stopped.
+  const auto shard = sample_shard_dir(cfg, stats.attack, stats.target);
+  util::ThreadPool& tp = pool ? *pool : util::ThreadPool::instance();
+  std::vector<std::future<SampleOutcome>> futs;
+  futs.reserve(samples.size());
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    futs.push_back(tp.submit([&, i]() -> SampleOutcome {
+      const auto path = sample_path(shard, digests[i]);
+      if (cfg.use_cache)
+        if (auto hit = load_sample(path)) {
+          hit->from_cache = true;
+          return *hit;
+        }
+      const std::unique_ptr<attack::Attack> a = atk.clone();
+      const std::unique_ptr<detect::Detector> t = target.clone();
+      const vm::Sandbox sandbox;
+      SampleOutcome out = attack_one(*a, *t, sandbox, samples[i],
+                                     original_of(i), cfg, digests[i]);
+      if (cfg.use_cache) save_sample(path, out);
+      return out;
+    }));
   }
+  // Collect in sample order (tasks complete in any order; the aggregate
+  // below is order-deterministic regardless).
+  std::vector<SampleOutcome> outcomes(samples.size());
+  for (std::size_t i = 0; i < futs.size(); ++i)
+    outcomes[i] = tp.wait(std::move(futs[i]));
 
   if (aes) aes->clear();
   std::uint64_t evasion_queries = 0;
@@ -356,95 +346,6 @@ std::unique_ptr<attack::Attack> make_attack(std::string_view name,
   throw std::invalid_argument("unknown attack: " + std::string(name));
 }
 
-// ---- cache ------------------------------------------------------------------
-
-namespace {
-
-std::filesystem::path cell_path(std::string_view key,
-                                const ExperimentConfig& cfg) {
-  char name[96];
-  std::snprintf(name, sizeof(name), "exp-%s-%016llx.bin",
-                std::string(key).c_str(),
-                static_cast<unsigned long long>(cfg.digest()));
-  return util::cache_dir() / "results" / name;
-}
-
-void save_cell(util::Archive& ar, const CellStats& c) {
-  ar.tag("cell");
-  ar.str(c.attack);
-  ar.str(c.target);
-  ar.u64(c.n);
-  ar.u64(c.successes);
-  ar.f64(c.asr);
-  ar.f64(c.avq);
-  ar.f64(c.apr);
-  ar.f64(c.functional);
-  ar.u64(c.ae_digest);
-  ar.u64(c.total_queries);
-  ar.f64(c.wall_ms);
-  ar.f64(c.qps);
-}
-
-CellStats load_cell(util::Unarchive& ar) {
-  CellStats c;
-  ar.tag("cell");
-  c.attack = ar.str();
-  c.target = ar.str();
-  c.n = ar.u64();
-  c.successes = ar.u64();
-  c.asr = ar.f64();
-  c.avq = ar.f64();
-  c.apr = ar.f64();
-  c.functional = ar.f64();
-  c.ae_digest = ar.u64();
-  c.total_queries = ar.u64();
-  c.wall_ms = ar.f64();
-  c.qps = ar.f64();
-  return c;
-}
-
-}  // namespace
-
-void save_cells(std::string_view key, const ExperimentConfig& cfg,
-                const std::vector<CellStats>& cells, const CellAes* aes) {
-  util::Archive ar;
-  ar.u32(static_cast<std::uint32_t>(cells.size()));
-  for (const CellStats& c : cells) save_cell(ar, c);
-  ar.u32(aes ? 1 : 0);
-  if (aes)
-    for (const std::vector<ByteBuf>& cell_aes : *aes) {
-      ar.u32(static_cast<std::uint32_t>(cell_aes.size()));
-      for (const ByteBuf& ae : cell_aes) ar.bytes(ae);
-    }
-  util::save_file(cell_path(key, cfg), ar.take());
-}
-
-std::optional<std::vector<CellStats>> load_cells(std::string_view key,
-                                                 const ExperimentConfig& cfg,
-                                                 CellAes* aes) {
-  if (!cfg.use_cache) return std::nullopt;
-  auto blob = util::load_file(cell_path(key, cfg));
-  if (!blob) return std::nullopt;
-  try {
-    util::Unarchive ar(*blob);
-    std::vector<CellStats> cells(ar.u32());
-    for (CellStats& c : cells) c = load_cell(ar);
-    const bool has_aes = ar.u32() != 0;
-    if (aes) {
-      if (!has_aes) return std::nullopt;
-      CellAes loaded(cells.size());
-      for (std::vector<ByteBuf>& cell_aes : loaded) {
-        cell_aes.assign(ar.u32(), {});
-        for (ByteBuf& ae : cell_aes) ae = ar.bytes();
-      }
-      *aes = std::move(loaded);
-    }
-    return cells;
-  } catch (const util::ParseError&) {
-    return std::nullopt;
-  }
-}
-
 void export_csv(const std::filesystem::path& path,
                 const std::vector<CellStats>& cells) {
   std::string csv = "attack,target,n,successes,asr,avq,apr,functional\n";
@@ -468,7 +369,6 @@ std::vector<CellStats> run_grid(std::string_view key,
                                 bool gate_on_all_offline,
                                 const ExperimentConfig& cfg,
                                 CellAes* aes = nullptr) {
-  if (auto cached = load_cells(key, cfg, aes)) return *cached;
   detect::ModelZoo& zoo = detect::ModelZoo::instance();
 
   // Sample gate: paper requires initial detection by the target models.
@@ -515,7 +415,6 @@ std::vector<CellStats> run_grid(std::string_view key,
               std::string(key).c_str(), c.attack.c_str(), c.target.c_str(),
               c.asr, c.avq, c.apr, c.wall_ms, c.qps);
   }
-  save_cells(key, cfg, cells, aes);
   obs::write_span_snapshot();
   return cells;
 }
@@ -585,19 +484,8 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
       tl.attacks.push_back(c.attack);
 
   // Fresh AV copies so the learning simulation does not pollute the zoo.
-  const auto profiles = detect::default_av_profiles();
-  std::vector<std::unique_ptr<detect::CommercialAv>> avs;
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    auto av = std::make_unique<detect::CommercialAv>(
-        profiles[i], detect::CommercialAv::Untrained{});
-    // Clone trained state via the archive round-trip.
-    util::Archive ar;
-    zoo.avs()[i]->save(ar);
-    const ByteBuf blob = ar.take();
-    util::Unarchive un(blob);
-    av->load(un);
-    avs.push_back(std::move(av));
-  }
+  std::vector<std::unique_ptr<detect::Detector>> avs;
+  for (const auto& av : zoo.avs()) avs.push_back(av->clone());
 
   tl.bypass.assign(
       tl.attacks.size(),
@@ -618,7 +506,7 @@ LearningTimeline av_learning_timeline(const ExperimentConfig& cfg) {
           for (std::size_t i = round - 1; i < aes[ci].size(); i += slices)
             batch.push_back(aes[ci][i]);
         }
-        avs[a]->update(batch);
+        static_cast<detect::CommercialAv&>(*avs[a]).update(batch);
       }
     }
     for (std::size_t ci = 0; ci < cells.size(); ++ci) {

@@ -1,6 +1,7 @@
 // Experiment harness: runs attack x detector grids under the paper's
-// protocol and metrics, with on-disk caching so the per-table bench binaries
-// share one set of runs (Tables I-III all come from the same grid).
+// protocol and metrics. Each sample's outcome is cached on disk, so the
+// per-table bench binaries share one set of runs (Tables I-III all come
+// from the same grid) and interrupted grids resume.
 //
 // Protocol (paper §IV "Datasets and baselines"): attack samples must be
 // (1) initially detected by the target models and (2) confirmed malicious in
@@ -51,7 +52,7 @@ struct CellStats {
   std::size_t total_queries = 0;  // oracle queries across all samples
   // Summed per-sample attack compute time. Cells interleave on the shared
   // pool, so a cell's wall-clock span says nothing about its cost; the sum
-  // of its sample-task durations does (and cache hits count as ~0).
+  // of its sample-task durations does (and cache hits count 0).
   double wall_ms = 0.0;
   double qps = 0.0;  // total_queries / (wall_ms seconds); 0 when unmeasured
 
@@ -69,17 +70,15 @@ std::vector<util::ByteBuf> make_attack_set(
 
 /// Runs one attack against one target over the sample set.
 ///
-/// When both the attack and the target are clonable, every sample becomes
-/// an independent task on the thread pool (`pool`, defaulting to
-/// ThreadPool::instance() sized by MPASS_THREADS): the task owns a cloned
-/// attack + cloned target and a deterministic RNG stream seeded from
-/// (cfg.seed, sample digest), so the aggregated CellStats (and its
-/// result_digest()) are identical for any thread count. Per-sample results
-/// are cached under (config digest, attack, target, sample digest), letting
-/// interrupted or partially invalidated runs resume instead of recomputing
-/// whole cells. Non-clonable attacks/targets (e.g. test doubles) run their
-/// samples sequentially on the shared instances, without the per-sample
-/// cache (cross-sample attack state makes cached entries order-dependent).
+/// Every sample is an independent task on the thread pool (`pool`,
+/// defaulting to ThreadPool::instance() sized by MPASS_THREADS): the task
+/// owns a clone of the attack and of the target and a deterministic RNG
+/// stream seeded from (cfg.seed, sample digest), so the aggregated
+/// CellStats (and its result_digest()) are identical for any thread count.
+/// With cfg.use_cache, each sample's outcome (AE bytes included) is saved
+/// in a shard keyed by (config digest, attack, target, sample digest) --
+/// the harness's only result cache -- so interrupted or re-run grids
+/// resume instead of recomputing.
 /// If `aes` is non-null it receives the functional successful AEs in
 /// sample order (the bytes CellStats::ae_digest covers).
 CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
@@ -100,7 +99,7 @@ std::unique_ptr<attack::Attack> make_attack(std::string_view name,
                                             detect::ModelZoo& zoo,
                                             std::string_view target_name);
 
-// ---- cached experiment entry points (one per paper artifact) -------------
+// ---- experiment entry points (one per paper artifact) --------------------
 
 /// Tables I-III: {MPass,RLA,MAB,GAMMA,MalRNN} x 4 offline models.
 std::vector<CellStats> offline_grid(const ExperimentConfig& cfg);
@@ -130,17 +129,6 @@ struct LearningTimeline {
   std::size_t rounds = 5;
 };
 LearningTimeline av_learning_timeline(const ExperimentConfig& cfg);
-
-// ---- result cache ----------------------------------------------------------
-
-/// With `aes`, the cells' AE bytes are stored too. A load that asks for
-/// `aes` misses when the stored grid has none.
-void save_cells(std::string_view key, const ExperimentConfig& cfg,
-                const std::vector<CellStats>& cells,
-                const CellAes* aes = nullptr);
-std::optional<std::vector<CellStats>> load_cells(std::string_view key,
-                                                 const ExperimentConfig& cfg,
-                                                 CellAes* aes = nullptr);
 
 /// Writes a grid as CSV (attack,target,n,successes,asr,avq,apr,functional)
 /// for external plotting; AE payloads are not exported.

@@ -3,6 +3,10 @@
 // the harness's oracle-derived AVQ for each of them.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+
 #include "attack/actions.hpp"
 #include "attack/gamma.hpp"
 #include "attack/mab.hpp"
@@ -11,7 +15,10 @@
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
 #include "harness/experiment.hpp"
+#include "obs/json.hpp"
+#include "obs/trace.hpp"
 #include "pe/pe.hpp"
+#include "util/hashing.hpp"
 #include "vm/sandbox.hpp"
 
 namespace mpass::attack {
@@ -35,6 +42,9 @@ class SizeDetector : public detect::Detector {
   double score(std::span<const std::uint8_t> bytes) const override {
     return bytes.size() < threshold_ ? 1.0 : 0.0;
   }
+  std::unique_ptr<detect::Detector> clone() const override {
+    return std::make_unique<SizeDetector>(*this);
+  }
  private:
   std::size_t threshold_;
 };
@@ -44,6 +54,9 @@ class AlwaysMalicious : public detect::Detector {
  public:
   std::string_view name() const override { return "always"; }
   double score(std::span<const std::uint8_t>) const override { return 1.0; }
+  std::unique_ptr<detect::Detector> clone() const override {
+    return std::make_unique<AlwaysMalicious>(*this);
+  }
 };
 
 // ---- actions -------------------------------------------------------------------
@@ -208,6 +221,68 @@ TEST(Baselines, MalRnnAppendsGrowingChunks) {
   EXPECT_TRUE(sandbox.functionality_preserved(sample, r.adversarial));
 }
 
+TEST(Baselines, MalRnnTracesWhereEachChunkLands) {
+  /// Flags files under a size threshold and records every queried length.
+  class SizeLog : public detect::Detector {
+   public:
+    explicit SizeLog(std::size_t threshold) : threshold_(threshold) {}
+    std::string_view name() const override { return "size"; }
+    double score(std::span<const std::uint8_t> bytes) const override {
+      sizes.push_back(bytes.size());
+      return bytes.size() < threshold_ ? 1.0 : 0.0;
+    }
+    std::unique_ptr<detect::Detector> clone() const override {
+      return std::make_unique<SizeLog>(*this);
+    }
+    mutable std::vector<std::size_t> sizes;
+   private:
+    std::size_t threshold_;
+  };
+
+  const auto dir =
+      std::filesystem::path(testing::TempDir()) / "mpass_malrnn_trace";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  obs::set_trace_dir(dir);
+  ml::GruLm lm(ml::GruLmConfig{}, 3);
+  MalRnn malrnn({}, lm);
+  const ByteBuf sample = corpus::make_malware(3700).bytes();
+  const SizeLog det(sample.size() + 6000);
+  const std::uint64_t digest = util::fnv1a64(sample);
+  {
+    obs::TraceScope scope("MalRNN", det.name(), digest, 31, 100);
+    ASSERT_TRUE(scope.active());
+    detect::HardLabelOracle oracle(det, 100);
+    EXPECT_TRUE(malrnn.run(sample, oracle, 31).success);
+  }
+  obs::set_trace_dir(std::nullopt);
+
+  char name[64];
+  std::snprintf(name, sizeof(name), "MalRNN-size-%016llx.jsonl",
+                static_cast<unsigned long long>(digest));
+  std::ifstream in(dir / name);
+  ASSERT_TRUE(in.good());
+  std::size_t appends = 0;
+  for (std::string line; std::getline(in, line);) {
+    const auto ev = obs::Json::parse(line);
+    ASSERT_TRUE(ev.has_value()) << line;
+    if (ev->get("ev")->str() != "action") continue;
+    EXPECT_EQ(ev->get("kind")->str(), "malrnn_append");
+    const double offset = ev->get("offset")->number();
+    const double len = ev->get("len")->number();
+    const double size = ev->get("size")->number();
+    // The chunk ends the file, and the k-th append is the k-th query.
+    EXPECT_EQ(offset + len, size);
+    EXPECT_GT(len, 0.0);
+    ASSERT_LT(appends, det.sizes.size());
+    EXPECT_EQ(size, static_cast<double>(det.sizes[appends]));
+    ++appends;
+  }
+  EXPECT_GE(appends, 2u);
+  EXPECT_EQ(appends, det.sizes.size());
+  std::filesystem::remove_all(dir);
+}
+
 // ---- harness AVQ per attack --------------------------------------------------
 
 std::unique_ptr<Attack> make_baseline(std::string_view name,
@@ -251,6 +326,7 @@ TEST_P(HarnessAvq, SuccessImpliesAvqWithinBudget) {
                                            : 1);
   harness::ExperimentConfig cfg;
   cfg.max_queries = 30;
+  cfg.use_cache = false;
   const harness::CellStats stats =
       harness::run_cell(*atk, det, samples, samples, cfg);
   ASSERT_GT(stats.successes, 0u);

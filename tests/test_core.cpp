@@ -370,6 +370,9 @@ TEST(Mpass, RandomContentModeQueriesUntilBudget) {
    public:
     std::string_view name() const override { return "always"; }
     double score(std::span<const std::uint8_t>) const override { return 1.0; }
+    std::unique_ptr<detect::Detector> clone() const override {
+      return std::make_unique<Always>(*this);
+    }
   };
   Always det;
   std::vector<ByteBuf> pool = {donor_bytes(3)};

@@ -66,6 +66,9 @@ TEST(Detectors, HardLabelOracleCountsQueries) {
    public:
     std::string_view name() const override { return "fixed"; }
     double score(std::span<const std::uint8_t>) const override { return 1.0; }
+    std::unique_ptr<Detector> clone() const override {
+      return std::make_unique<Fixed>(*this);
+    }
   };
   Fixed det;
   HardLabelOracle oracle(det, 3);
@@ -86,6 +89,9 @@ TEST(Detectors, HardLabelOracleRecordsFirstEvasion) {
     std::string_view name() const override { return "first-byte"; }
     double score(std::span<const std::uint8_t> b) const override {
       return b[0] ? 1.0 : 0.0;
+    }
+    std::unique_ptr<Detector> clone() const override {
+      return std::make_unique<FirstByte>(*this);
     }
   };
   FirstByte det;

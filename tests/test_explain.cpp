@@ -128,6 +128,9 @@ TEST(Pem, FindsThePlantedCriticalSection) {
         return 0.0;
       }
     }
+    std::unique_ptr<detect::Detector> clone() const override {
+      return std::make_unique<DataKeyed>(*this);
+    }
    private:
     std::string name_;
   };

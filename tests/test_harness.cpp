@@ -1,11 +1,12 @@
 // Tests for the experiment harness: metric computation, sample gating,
-// result-cache round-trips.
+// per-sample result-cache resume.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 
 #include "harness/experiment.hpp"
@@ -23,6 +24,9 @@ class SizeDetector : public detect::Detector {
   double score(std::span<const std::uint8_t> bytes) const override {
     return bytes.size() < threshold_ ? 1.0 : 0.0;
   }
+  std::unique_ptr<detect::Detector> clone() const override {
+    return std::make_unique<SizeDetector>(*this);
+  }
  private:
   std::size_t threshold_;
 };
@@ -36,18 +40,25 @@ class FlagsFirstQueries : public detect::Detector {
   double score(std::span<const std::uint8_t> bytes) const override {
     return ++seen_[util::fnv1a64(bytes)] <= k_ ? 1.0 : 0.0;
   }
+  std::unique_ptr<detect::Detector> clone() const override {
+    return std::make_unique<FlagsFirstQueries>(*this);
+  }
  private:
   std::size_t k_;
   mutable std::map<std::uint64_t, std::size_t> seen_;
 };
 
 /// Scripted attack: its AE is the sample with its own size in zero bytes
-/// appended (APR 100%). On odd calls it queries until the first benign
-/// verdict and then spends two more queries (like MAB's minimization); on
-/// even calls it gives up after three detected queries. Success is the
-/// oracle's verdict, and the attack reports no counts.
+/// appended (APR 100%). On the samples whose digest is in `persist` it
+/// queries until the first benign verdict and then spends two more queries
+/// (like MAB's minimization); on the others it gives up after three
+/// detected queries. The choice depends on the sample alone, so clones
+/// behave alike. Success is the oracle's verdict, and the attack reports no
+/// counts.
 class Scripted : public attack::Attack {
  public:
+  explicit Scripted(std::set<std::uint64_t> persist)
+      : persist_(std::move(persist)) {}
   std::string_view name() const override { return "scripted"; }
   attack::AttackResult run(std::span<const std::uint8_t> malware,
                            detect::HardLabelOracle& oracle,
@@ -55,7 +66,7 @@ class Scripted : public attack::Attack {
     attack::AttackResult r;
     r.adversarial.assign(malware.begin(), malware.end());
     r.adversarial.resize(2 * malware.size(), 0);
-    const bool persist = (++calls_ % 2) == 1;
+    const bool persist = persist_.contains(util::fnv1a64(malware));
     for (int i = 0; i < 3 || (persist && !oracle.exhausted()); ++i)
       if (!oracle.query(r.adversarial)) {
         r.success = true;
@@ -65,26 +76,11 @@ class Scripted : public attack::Attack {
       for (int extra = 0; extra < 2; ++extra) oracle.query(r.adversarial);
     return r;
   }
- private:
-  int calls_ = 0;
-};
-
-/// Clonable variants: run_cell uses the per-sample task path (and the
-/// per-sample result cache) only when both the attack and the target clone.
-/// Every clone starts at call 1, so every sample persists and succeeds.
-class ClonableScripted : public Scripted {
- public:
   std::unique_ptr<attack::Attack> clone() const override {
-    return std::make_unique<ClonableScripted>(*this);
+    return std::make_unique<Scripted>(*this);
   }
-};
-
-class ClonableFlagsFirstQueries : public FlagsFirstQueries {
- public:
-  using FlagsFirstQueries::FlagsFirstQueries;
-  std::unique_ptr<detect::Detector> clone() const override {
-    return std::make_unique<ClonableFlagsFirstQueries>(*this);
-  }
+ private:
+  std::set<std::uint64_t> persist_;
 };
 
 /// Points MPASS_CACHE_DIR at a fresh directory for the guard's lifetime and
@@ -114,12 +110,22 @@ std::vector<ByteBuf> scripted_samples() {
   return samples;
 }
 
+/// Digests of every `stride`-th sample, starting with the first.
+std::set<std::uint64_t> every(std::span<const ByteBuf> samples,
+                              std::size_t stride) {
+  std::set<std::uint64_t> out;
+  for (std::size_t i = 0; i < samples.size(); i += stride)
+    out.insert(util::fnv1a64(samples[i]));
+  return out;
+}
+
 TEST(Harness, RunCellComputesMetrics) {
   const FlagsFirstQueries det(3);  // first benign verdict: query 4
-  Scripted atk;
   const std::vector<ByteBuf> samples = scripted_samples();
+  Scripted atk(every(samples, 2));
   ExperimentConfig cfg;
   cfg.max_queries = 10;
+  cfg.use_cache = false;
   std::vector<ByteBuf> aes;
   const CellStats stats =
       run_cell(atk, det, samples, samples, cfg, nullptr, &aes);
@@ -141,10 +147,10 @@ TEST(Harness, RunCellAeOutputLeavesResultsUnchanged) {
   const std::vector<ByteBuf> samples = scripted_samples();
   ExperimentConfig cfg;
   cfg.max_queries = 10;
-  // Fresh detector and attack per run: both keep per-run state.
+  cfg.use_cache = false;
   const auto run = [&](std::vector<ByteBuf>* aes) {
     const FlagsFirstQueries det(3);
-    Scripted atk;
+    Scripted atk(every(samples, 2));
     return run_cell(atk, det, samples, samples, cfg, nullptr, aes);
   };
   std::vector<ByteBuf> aes;
@@ -153,8 +159,8 @@ TEST(Harness, RunCellAeOutputLeavesResultsUnchanged) {
   EXPECT_EQ(with.result_digest(), without.result_digest());
   EXPECT_EQ(with.ae_digest, without.ae_digest);
   EXPECT_NE(with.ae_digest, 0u);
-  // Scripted persists (and succeeds) on its odd calls: samples 0, 2, 4, in
-  // sample order, each doubled with zero bytes.
+  // Scripted persists (and succeeds) on samples 0, 2 and 4: their AEs come
+  // back in sample order, each doubled with zero bytes.
   ASSERT_EQ(aes.size(), 3u);
   for (std::size_t i = 0; i < aes.size(); ++i) {
     ByteBuf expected = samples[2 * i];
@@ -170,8 +176,8 @@ TEST(Harness, RunCellResumesFromPerSampleCache) {
   cfg.max_queries = 10;
   cfg.use_cache = true;
   const auto run = [&](std::vector<ByteBuf>* aes) {
-    const ClonableFlagsFirstQueries det(3);
-    ClonableScripted atk;
+    const FlagsFirstQueries det(3);
+    Scripted atk(every(samples, 1));
     return run_cell(atk, det, samples, samples, cfg, nullptr, aes);
   };
 
@@ -191,6 +197,13 @@ TEST(Harness, RunCellResumesFromPerSampleCache) {
   EXPECT_EQ(cached.total_queries, fresh.total_queries);
   EXPECT_EQ(cached_aes, fresh_aes);
   EXPECT_EQ(cached.wall_ms, 0.0);
+
+  // The shard key covers the config digest: another budget misses every
+  // shard and executes afresh.
+  cfg.max_queries = 12;
+  const CellStats rerun = run(nullptr);
+  EXPECT_EQ(rerun.successes, 6u);
+  EXPECT_GT(rerun.wall_ms, 0.0);
 }
 
 TEST(Harness, MakeAttackSetOnlyReturnsDetectedSamples) {
@@ -203,46 +216,6 @@ TEST(Harness, MakeAttackSetOnlyReturnsDetectedSamples) {
   const SizeDetector impossible(0);  // flags nothing
   const detect::Detector* gate2[] = {&impossible};
   EXPECT_TRUE(make_attack_set(gate2, 3, 77).empty());
-}
-
-TEST(Harness, CellCacheRoundTrip) {
-  ExperimentConfig cfg;
-  cfg.seed = 987654;  // private cache slot for this test
-  cfg.use_cache = true;
-  std::vector<CellStats> cells(2);
-  cells[0].attack = "A";
-  cells[0].target = "T";
-  cells[0].n = 10;
-  cells[0].successes = 7;
-  cells[0].asr = 70.0;
-  cells[0].avq = 3.5;
-  cells[0].apr = 120.0;
-  cells[0].functional = 100.0;
-  cells[0].ae_digest = 0xAE;
-  cells[1].attack = "B";
-  cells[1].target = "T";
-  save_cells("unittest", cfg, cells);
-  const auto loaded = load_cells("unittest", cfg);
-  ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->size(), 2u);
-  EXPECT_EQ((*loaded)[0].attack, "A");
-  EXPECT_EQ((*loaded)[0].successes, 7u);
-  EXPECT_DOUBLE_EQ((*loaded)[0].avq, 3.5);
-  EXPECT_EQ((*loaded)[0].ae_digest, 0xAEu);
-  EXPECT_EQ((*loaded)[1].attack, "B");
-
-  // A grid saved without AE bytes misses for a caller that needs them.
-  CellAes aes;
-  EXPECT_FALSE(load_cells("unittest", cfg, &aes).has_value());
-  const CellAes saved = {{ByteBuf{1, 2, 3}, ByteBuf{4, 5}}, {}};
-  save_cells("unittest", cfg, cells, &saved);
-  ASSERT_TRUE(load_cells("unittest", cfg, &aes).has_value());
-  EXPECT_EQ(aes, saved);
-  EXPECT_TRUE(load_cells("unittest", cfg).has_value());
-
-  ExperimentConfig other = cfg;
-  other.seed = 123;  // digest changes -> cache miss
-  EXPECT_FALSE(load_cells("unittest", other).has_value());
 }
 
 TEST(Harness, CsvExportWritesAllCells) {

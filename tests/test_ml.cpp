@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "detectors/models.hpp"
 #include "ml/byteconv.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/gru.hpp"
@@ -187,6 +188,28 @@ TEST(ByteConv, SaveLoadRoundTrip) {
   util::Unarchive un(blob);
   other.load(un);
   EXPECT_FLOAT_EQ(other.forward(x), before);
+}
+
+// The detectors' byte nets read a file's first max_len = 16384 bytes; the
+// original MalConv reads 2 MB (DESIGN.md). A byte past that window cannot
+// move the score, which is why appends beyond it (MalRNN) are invisible.
+TEST(ByteConv, ReadsOnlyTheFirstMaxLenBytes) {
+  const ByteConvConfig cfg = detect::malconv_config();
+  ASSERT_EQ(cfg.max_len, 16384u);
+  ByteConvNet net(cfg, 5);
+  // A uniform file ties every pooling window, so a flip inside the window
+  // raises some filter's maximum.
+  const ByteBuf x(cfg.max_len + 4096, 0);
+  const float base = net.forward(x);
+  for (const std::size_t off :
+       {cfg.max_len, cfg.max_len + 100, x.size() - 1}) {
+    ByteBuf past = x;
+    past[off] ^= 0xFF;
+    EXPECT_EQ(net.forward(past), base) << "offset " << off;
+  }
+  ByteBuf inside = x;
+  inside[cfg.max_len / 2] ^= 0xFF;
+  EXPECT_NE(net.forward(inside), base);
 }
 
 // ---- GBDT --------------------------------------------------------------------
