@@ -231,7 +231,9 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
     }));
   }
   // Collect in sample order (tasks complete in any order; the aggregate
-  // below is order-deterministic regardless).
+  // below is order-deterministic regardless). Waiting runs queued tasks --
+  // this cell's samples, newest first, or another cell's -- on this
+  // thread.
   std::vector<SampleOutcome> outcomes(samples.size());
   for (std::size_t i = 0; i < futs.size(); ++i)
     outcomes[i] = tp.wait(std::move(futs[i]));
@@ -383,9 +385,9 @@ std::vector<CellStats> run_grid(std::string_view key,
   // Attack prototypes are constructed up front on this thread -- cloning
   // reads the source nets' state, which must not race with tasks running
   // them. Each (target, attack) cell then becomes a pool task, and each
-  // cell fans out one sub-task per sample (see run_cell); waiters help
-  // drain the pool, so nesting cannot deadlock. The unit of parallelism is
-  // (target, attack, sample) -- a 3-target grid no longer caps at 3 cores.
+  // cell fans out one sub-task per sample onto the same queue (see
+  // run_cell); a waiting cell runs queued tasks itself, so nesting cannot
+  // deadlock. The unit of parallelism is (target, attack, sample).
   std::vector<std::vector<std::unique_ptr<attack::Attack>>> attack_sets(
       targets.size());
   for (std::size_t t = 0; t < targets.size(); ++t)

@@ -59,9 +59,7 @@ ByteConvNet::ByteConvNet(const ByteConvConfig& cfg, std::uint64_t seed)
 }
 
 ByteConvNet::ByteConvNet(const ByteConvNet& other)
-    : cfg_(other.cfg_),
-      params_(other.params_),
-      incremental_(other.incremental_) {
+    : cfg_(other.cfg_), params_(other.params_) {
   // The activation caches are deliberately not copied: the clone starts
   // cache-invalid and its first incremental call runs a full forward.
   // Re-bind the layer pointers into the copied ParamSet (same order as the
@@ -394,7 +392,7 @@ float ByteConvNet::forward_auto(std::span<const std::uint8_t> bytes) {
   const std::size_t n = std::min(bytes.size(), cfg_.max_len);
   const std::size_t n_tok =
       std::max<std::size_t>(n, static_cast<std::size_t>(cfg_.width));
-  if (!incremental_ || !cache_usable(n, n_tok)) return forward(bytes);
+  if (!cache_usable(n, n_tok)) return forward(bytes);
 
   // Diff the new buffer against the cached token stream. Positions in
   // [n, n_tok) are padding and cannot differ (n matches the cache).

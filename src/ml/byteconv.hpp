@@ -66,10 +66,6 @@ class ByteConvNet {
   /// changed, or the changed bytes cover most of the buffer.
   float forward_auto(std::span<const std::uint8_t> bytes);
 
-  /// Turns the incremental path off (default on); forward_auto then always
-  /// runs forward(). Used by tests as a full-forward reference.
-  void set_incremental(bool on) { incremental_ = on; }
-
   /// Backprop of BCE(prob, target) for the last forward() input.
   /// If input_grad is non-null it receives dLoss/dEmbedding, laid out
   /// [position * embed_dim + k] over the positions actually consumed
@@ -171,7 +167,6 @@ class ByteConvNet {
   // Incremental-forward state: whether the caches above describe a real
   // forward, the consumed byte count it was computed on, and the ParamSet
   // version its activations correspond to.
-  bool incremental_ = true;
   bool cache_valid_ = false;
   std::size_t cache_n_ = 0;
   std::uint64_t cache_version_ = 0;

@@ -162,66 +162,6 @@ std::string render_span_tree(const std::vector<SpanProfileRow>& rows) {
   return out;
 }
 
-std::string chrome_from_spans(const std::vector<SpanProfileRow>& rows) {
-  std::map<std::string, std::vector<const SpanProfileRow*>> children;
-  for (const SpanProfileRow& r : rows)
-    children[std::string(parent_of(r.path))].push_back(&r);
-  for (auto& [parent, kids] : children)
-    std::sort(kids.begin(), kids.end(),
-              [](const SpanProfileRow* a, const SpanProfileRow* b) {
-                return a->total_ms > b->total_ms;
-              });
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  out +=
-      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"args\":{\"name\":"
-      "\"mpass aggregate profile\"}},"
-      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":1,"
-      "\"args\":{\"name\":\"aggregate\"}}";
-
-  // DFS laying children sequentially inside the parent interval.
-  struct Pending {
-    const SpanProfileRow* row;
-    double start_us;
-  };
-  std::vector<Pending> stack;
-  double cursor = 0.0;
-  if (const auto roots = children.find(""); roots != children.end())
-    for (const SpanProfileRow* r : roots->second) {
-      stack.push_back({r, cursor});
-      cursor += r->total_ms * 1000.0;
-    }
-  std::reverse(stack.begin(), stack.end());
-  while (!stack.empty()) {
-    const Pending p = stack.back();
-    stack.pop_back();
-    out += ",{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"cat\":\"span\",\"name\":\"";
-    json_escape(out, basename_of(p.row->path));
-    out += "\",\"ts\":";
-    json_number(out, p.start_us);
-    out += ",\"dur\":";
-    json_number(out, p.row->total_ms * 1000.0);
-    out += ",\"args\":{\"path\":\"";
-    json_escape(out, p.row->path);
-    out += "\",\"count\":";
-    json_number(out, static_cast<double>(p.row->count));
-    out += "}}";
-    if (const auto kids = children.find(p.row->path);
-        kids != children.end()) {
-      double child_cursor = p.start_us;
-      std::vector<Pending> batch;
-      for (const SpanProfileRow* k : kids->second) {
-        batch.push_back({k, child_cursor});
-        child_cursor += k->total_ms * 1000.0;
-      }
-      for (auto it = batch.rbegin(); it != batch.rend(); ++it)
-        stack.push_back(*it);
-    }
-  }
-  out += "]}";
-  return out;
-}
-
 // ---- baseline comparison ----------------------------------------------------
 
 ProfCompareResult compare_profiles(const Json& base, const Json& cur,

@@ -6,7 +6,6 @@
 //   * parse_spans       -- spans out of a spans.json / BENCH_*.json document
 //   * render_span_top   -- self-time hotspot table
 //   * render_span_tree  -- call-path tree with % of parent
-//   * chrome_from_spans -- synthetic aggregate flame (Chrome trace JSON)
 //   * compare_profiles  -- per-span / per-bench deltas against a baseline,
 //                          with a configurable regression threshold
 //   * collect_bench_dir -- BENCH_*.json -> one schema-versioned
@@ -45,12 +44,6 @@ std::string render_span_top(const std::vector<SpanProfileRow>& rows,
 
 /// Indented call-path tree; each row shows total, self and % of parent.
 std::string render_span_tree(const std::vector<SpanProfileRow>& rows);
-
-/// Synthesizes a Chrome trace-event JSON "aggregate flame" from span rows:
-/// one timeline where each call path is a complete event of its total
-/// duration nested inside its parent. Not a real timeline -- a loadable
-/// flame view of where aggregate time went.
-std::string chrome_from_spans(const std::vector<SpanProfileRow>& rows);
 
 // ---- baseline comparison ----------------------------------------------------
 

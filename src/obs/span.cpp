@@ -187,7 +187,7 @@ std::shared_ptr<SpanCore>& core_ref() {
 
 struct Frame {
   std::uint32_t path = kRootPath;
-  std::uint32_t parent = kRootPath;
+  std::uint32_t parent = kRootPath;  // path of the frame below on this stack
   std::uint64_t t0 = 0;
 };
 
@@ -238,10 +238,14 @@ void pop_frame(SpanTls& t) {
       kSlotsPerPath;
   s.ensure(need);
   s.slots[f.path * kSlotsPerPath + 0].fetch_add(1, std::memory_order_relaxed);
-  s.slots[f.path * kSlotsPerPath + 1].fetch_add(dur,
-                                                std::memory_order_relaxed);
-  s.slots[f.parent * kSlotsPerPath + 2].fetch_add(dur,
+  // A frame collapsed onto its parent by direct recursion lies inside the
+  // parent frame's time already: it adds only its count.
+  if (f.path != f.parent) {
+    s.slots[f.path * kSlotsPerPath + 1].fetch_add(dur,
                                                   std::memory_order_relaxed);
+    s.slots[f.parent * kSlotsPerPath + 2].fetch_add(
+        dur, std::memory_order_relaxed);
+  }
   if (g_profiling.load(std::memory_order_relaxed))
     s.record_event(
         {ProfileEvent::kComplete, t.tid, f.path, f.t0, dur, /*flow=*/0});
@@ -301,7 +305,13 @@ SpanTaskScope::SpanTaskScope(const SpanHandoff& h) noexcept {
   if (h.flow && g_profiling.load(std::memory_order_relaxed))
     t.shard->record_event(
         {ProfileEvent::kFlowFinish, t.tid, /*path=*/0, t0, /*dur=*/0, h.flow});
-  t.stack.push_back(Frame{cached_path(t, h.path, site), h.path, t0});
+  // Named under the submitter, accounted to the frame open on *this*
+  // thread: the task's time lies inside that frame (a helping waiter's
+  // span) or inside no frame at all (an idle worker), never inside the
+  // submitter's frame on another thread.
+  const std::uint32_t parent =
+      t.stack.empty() ? kRootPath : t.stack.back().path;
+  t.stack.push_back(Frame{cached_path(t, h.path, site), parent, t0});
   active_ = true;
 }
 

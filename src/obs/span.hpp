@@ -16,24 +16,25 @@
 //     warm push/pop is a couple of clock reads plus relaxed atomic adds on
 //     slots only the calling thread writes.
 //   * Each path owns three shard slots: count, total_ns, and child_ns (the
-//     summed totals of its direct child frames). Self time is derived at
-//     merge time as total - child, which keeps the accounting exact by
-//     construction: merged self + merged child == merged total, and for
-//     non-recursive trees child_ns equals the sum of the children's totals.
+//     summed durations of the frames opened directly inside its frames on
+//     the same thread). Self time is derived at merge time as total -
+//     child, which keeps the accounting exact by construction: merged self
+//     + merged child == merged total, and self is never negative.
 //   * Direct recursion collapses onto the parent path (a site nested under
 //     itself reuses the parent's node), so recursive scopes cannot grow the
-//     path table without bound.
+//     path table without bound; a collapsed frame adds only its count.
 //   * span_snapshot() merges all live shards plus the totals retired by
 //     exited threads; the merged view depends only on the spans completed,
 //     never on which thread ran them. Open (un-popped) spans are invisible
 //     to snapshots until they close -- a drained process has no orphans.
 //
 // Cross-thread propagation: util::ThreadPool captures a SpanHandoff at
-// submit() and opens a SpanTaskScope ("pool.task" span, parented under the
-// *submitting* call path) around the task body, so a worker executing a
-// stolen task records under the span that submitted it. With profiling on,
-// the handoff also carries a flow id linking submit to execution with a
-// Chrome flow arrow.
+// submit() and opens a SpanTaskScope ("pool.task" span, named under the
+// *submitting* call path) around the task body, so a task records under
+// the span that submitted it, whichever thread runs it. Its time is child
+// time of the frame open on the executing thread (a waiter that helps), or
+// of none (an idle worker). With profiling on, the handoff also carries a
+// flow id linking submit to execution with a Chrome flow arrow.
 //
 // Profiling sink: MPASS_PROFILE=<file> records one Chrome trace-event
 // "complete" event per span pop (plus flow arrows and thread names) and
@@ -83,8 +84,9 @@ class Span {
 // ---- snapshots --------------------------------------------------------------
 
 /// Merged per-call-path statistics. self_ns() is exact by construction:
-/// total_ns - child_ns, where child_ns sums the totals of direct child
-/// frames (negative only for paths whose async children outlive them).
+/// total_ns - child_ns, where child_ns sums the durations of the frames
+/// opened directly inside this path's frames on the same thread. It is
+/// never negative once every span is closed.
 struct SpanRow {
   std::string path;  // site names joined with '/', e.g. "a/b/c"
   std::uint32_t depth = 0;
@@ -124,9 +126,10 @@ struct SpanHandoff {
 /// outside any span and profiling is off.
 SpanHandoff span_handoff_capture();
 
-/// Opens a "pool.task" span parented under the handoff's path on the
-/// executing thread (which may differ from the submitter), and records the
-/// flow-finish event. Inactive for a disengaged handoff.
+/// Opens a "pool.task" span named under the handoff's path on the
+/// executing thread (which may differ from the submitter), accounted as a
+/// child of the frame open on that thread, and records the flow-finish
+/// event. Inactive for a disengaged handoff.
 class SpanTaskScope {
  public:
   explicit SpanTaskScope(const SpanHandoff& h) noexcept;

@@ -178,7 +178,7 @@ void write_span_snapshot() {
   if (!dir) return;
   std::error_code ec;
   std::filesystem::create_directories(*dir, ec);
-  // Call-path profile of the run, consumed by `mpass_prof top/tree/export`.
+  // Call-path profile of the run, consumed by `mpass_prof top/tree`.
   const std::string spans = spans_to_json(span_snapshot());
   std::ofstream out(*dir / "spans.json", std::ios::binary | std::ios::trunc);
   if (out) out.write(spans.data(), static_cast<std::streamsize>(spans.size()));

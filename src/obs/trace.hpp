@@ -13,8 +13,8 @@
 // thread-local, so concurrent samples never interleave within a file. The
 // sample file is buffered in memory and written once at scope end (a torn
 // run never leaves a half-valid trace). Nested scopes save and restore the
-// outer scope, which makes the sink safe under the work-stealing pool's
-// helping waiters.
+// outer scope, which makes the sink safe when a task waiting in
+// ThreadPool::wait runs another sample's task inline.
 //
 // With MPASS_TRACE unset everything is pay-for-what-you-use: tracing()
 // is one thread-local pointer test and no Event allocates.

@@ -1,28 +1,28 @@
-// Work-stealing thread pool shared by the experiment harness.
+// Thread pool shared by the experiment harness: one task queue.
 //
-// The harness's unit of parallelism is one (target, attack, sample) attack
-// run -- thousands of independent tasks per grid -- so the pool is built for
-// many small-to-medium tasks with nested fan-out: a cell task submits one
-// sub-task per sample and then *helps* execute pending work while waiting
-// (run_one / wait), which makes nested submission deadlock-free even on a
-// single worker thread.
+// The harness submits one task per (target, attack) cell, and each cell
+// task fans out one sub-task per sample, then waits for them. Tasks run for
+// milliseconds to seconds, so a few hundred start per second at most and
+// one mutex over one std::deque is never contended.
 //
-// Topology: one injector queue for external submitters plus one deque per
-// worker. Workers pop their own deque LIFO (cache locality) and steal from
-// the injector and the other workers FIFO (oldest work first). Results and
-// exceptions travel through std::future via std::packaged_task.
+// Workers and waiters pop the newest task (LIFO), so a cell's samples run
+// right after it submits them. wait() *helps*: while its future is not
+// ready it runs queued tasks on the calling thread, which makes nested
+// submission deadlock-free even on a single worker. With the queue empty
+// it sleeps on the one condition variable; every finished task takes the
+// mutex and then notifies, so no wakeup is lost and nothing polls. Results
+// and exceptions travel through std::future via std::packaged_task.
 //
 // Pool size: ThreadPool::instance() honors MPASS_THREADS, defaulting to
 // std::thread::hardware_concurrency().
 //
 // Observability: span context (obs/span.hpp) propagates across submit():
-// each task executes under a "pool.task" span parented at the submitting
-// call path -- so stolen tasks profile under their submitter, and the
-// pool's work count is the pool.task span count -- and, with MPASS_PROFILE
-// set, submit and execution are linked by Chrome flow arrows.
+// each task executes under a "pool.task" span named under the submitting
+// call path -- so the pool's work count is the pool.task span count -- and,
+// with MPASS_PROFILE set, submit and execution are linked by Chrome flow
+// arrows.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -33,6 +33,8 @@
 #include <thread>
 #include <type_traits>
 #include <vector>
+
+#include "obs/span.hpp"
 
 namespace mpass::util {
 
@@ -47,62 +49,53 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Process-wide pool sized by MPASS_THREADS (default: hardware threads).
+  /// Process-wide pool sized by MPASS_THREADS if set and positive, else
+  /// by hardware_concurrency (at least 1).
   static ThreadPool& instance();
-
-  /// MPASS_THREADS if set and positive, else hardware_concurrency (>= 1).
-  static std::size_t env_threads();
 
   std::size_t size() const { return workers_.size(); }
 
   /// Schedules a callable; the returned future carries its result or
-  /// exception. Calls from a worker thread of this pool enqueue onto that
-  /// worker's own deque (nested submission).
+  /// exception. The task runs under a "pool.task" span named under the
+  /// calling thread's call path; the span closes before the future becomes
+  /// ready, so a snapshot taken after wait() sees it.
   template <typename F, typename R = std::invoke_result_t<std::decay_t<F>&>>
   std::future<R> submit(F&& fn) {
-    auto task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [h = obs::span_handoff_capture(),
+         fn = std::forward<F>(fn)]() mutable -> R {
+          const obs::SpanTaskScope span_scope(h);
+          return fn();
+        });
     std::future<R> fut = task->get_future();
     push([task] { (*task)(); });
     return fut;
   }
 
-  /// Executes one pending task on the calling thread, if any.
-  /// Callable from any thread (workers, waiters, outsiders).
-  bool run_one();
-
-  /// Blocks until `fut` is ready, executing pending pool tasks while
-  /// waiting so that tasks can wait on sub-tasks without deadlock.
+  /// Blocks until `fut` is ready, running queued pool tasks on the calling
+  /// thread meanwhile so that tasks can wait on sub-tasks without deadlock.
   template <typename T>
   T wait(std::future<T> fut) {
-    while (fut.wait_for(std::chrono::seconds(0)) !=
-           std::future_status::ready) {
-      if (!run_one())
-        fut.wait_for(std::chrono::milliseconds(1));
-    }
+    // A zero-timeout readiness test, not a poll: the sleep is on cv_.
+    help_until([&fut] {
+      return fut.wait_for(std::chrono::seconds(0)) ==
+             std::future_status::ready;
+    });
     return fut.get();
   }
 
  private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void push(std::function<void()> task);
-  bool pop_back(Queue& q, std::function<void()>& out);
-  bool pop_front(Queue& q, std::function<void()>& out);
-  /// Own deque LIFO, then injector, then steal other workers FIFO.
-  bool try_pop(std::size_t self, std::function<void()>& out);
-  void worker_loop(std::size_t index);
+  /// Runs queued tasks (newest first) on the calling thread until `done`,
+  /// which is evaluated under mu_, holds; sleeps on cv_ while the queue is
+  /// empty.
+  void help_until(const std::function<bool()>& done);
 
-  // queues_[0] is the injector; queues_[1 + i] belongs to worker i.
-  std::vector<std::unique_ptr<Queue>> queues_;
+  std::mutex mu_;  // guards tasks_ and stop_
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> tasks_;
+  bool stop_ = false;
   std::vector<std::thread> workers_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<bool> stop_{false};
 };
 
 }  // namespace mpass::util

@@ -256,27 +256,5 @@ TEST(ByteConvIncremental, IndependentCandidatesMatchFullForwards) {
   }
 }
 
-TEST(ByteConvIncremental, DisabledIncrementalAlwaysRunsFull) {
-  const ByteConvConfig cfg = small_config();
-  ByteConvNet a(cfg, 53);
-  ByteConvNet b(a);
-  a.set_incremental(false);
-  util::Rng rng(59);
-  ByteBuf buf = rng.bytes(512);
-  for (int i = 0; i < 8; ++i) {
-    const std::size_t pos = rng.below(buf.size());
-    buf[pos] = static_cast<std::uint8_t>(buf[pos] + 1);
-    const PathCounts before = PathCounts::now();
-    EXPECT_EQ(a.forward_auto(buf), b.forward_auto(buf));
-    EXPECT_EQ(a.forward_auto(buf), b.forward(buf));
-    const PathCounts used = PathCounts::now().since(before);
-    // a: two full forwards; b: one delta (or full on the first call), one
-    // full reference.
-    EXPECT_EQ(used.full, i == 0 ? 4u : 3u) << "call " << i;
-    EXPECT_EQ(used.delta, i == 0 ? 0u : 1u) << "call " << i;
-    EXPECT_EQ(used.cached, 0u);
-  }
-}
-
 }  // namespace
 }  // namespace mpass::ml

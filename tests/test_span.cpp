@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -95,12 +96,11 @@ TEST(Span, DirectRecursionCollapsesOntoOnePath) {
   ASSERT_EQ(rows.size(), 1u) << "recursive site must not grow the path table";
   const SpanRow& r = rows.begin()->second;
   EXPECT_EQ(r.count, 9u);
-  // Self time stays exact: every frame's duration lands in total, every
-  // nested frame's duration also lands in child, so self == outermost
-  // frame's exclusive time... for a collapsed chain, self = total - child
-  // where child counts the 8 nested frames against the same path.
-  EXPECT_GE(r.self_ns(), 20000);
-  EXPECT_LE(r.self_ns(), static_cast<std::int64_t>(r.total_ns));
+  // The 8 collapsed frames add only their count: the outermost frame's
+  // duration is the whole total, and none of it is child time.
+  EXPECT_GE(r.total_ns, 9u * 20000u);
+  EXPECT_EQ(r.child_ns, 0u);
+  EXPECT_EQ(r.self_ns(), static_cast<std::int64_t>(r.total_ns));
 }
 
 TEST(Span, OpenSpansAreInvisibleUntilPopped) {
@@ -180,6 +180,53 @@ TEST(Span, CrossThreadPropagationUnderContention) {
     EXPECT_EQ(a[i].total_ns, b[i].total_ns) << a[i].path;
     EXPECT_EQ(a[i].child_ns, b[i].child_ns) << a[i].path;
   }
+}
+
+TEST(Span, NestedFanOutSelfTimesAddUp) {
+  // The harness's two-level fan-out: 4 "cell" tasks each submit 8
+  // "sample" tasks and wait for them, helping. A task's time is child time
+  // of the frame open on the thread that ran it, never of its submitter's
+  // frame on another thread, so no path's self time is negative and the
+  // self times sum to at most wall x (4 workers + the helping caller).
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    util::ThreadPool pool(4);
+    OBS_SCOPE("t.span.fan");
+    std::vector<std::future<int>> cells;
+    for (int c = 0; c < 4; ++c)
+      cells.push_back(pool.submit([&pool] {
+        OBS_SCOPE("t.span.fan.cell");
+        std::vector<std::future<int>> samples;
+        for (int i = 0; i < 8; ++i)
+          samples.push_back(pool.submit([] {
+            OBS_SCOPE("t.span.fan.sample");
+            spin_for_ns(200000);
+            return 1;
+          }));
+        int n = 0;
+        for (auto& f : samples) n += pool.wait(std::move(f));
+        return n;
+      }));
+    int n = 0;
+    for (auto& f : cells) n += pool.wait(std::move(f));
+    EXPECT_EQ(n, 32);
+  }
+  const std::int64_t wall_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count();
+
+  const auto rows = rows_with_prefix("t.span.fan");
+  ASSERT_TRUE(rows.count("t.span.fan"));
+  std::int64_t self_sum = 0;
+  std::uint64_t samples = 0;
+  for (const auto& [path, r] : rows) {
+    EXPECT_GE(r.self_ns(), 0) << path;
+    self_sum += r.self_ns();
+    if (path.ends_with("t.span.fan.sample")) samples += r.count;
+  }
+  EXPECT_EQ(samples, 32u);
+  EXPECT_LE(self_sum, wall_ns * 5);
 }
 
 TEST(Span, SnapshotIsDeterministicallySorted) {
@@ -373,11 +420,6 @@ TEST(Profile, RenderersProduceOutput) {
   EXPECT_NE(render_span_top(*rows).find("a/b"), std::string::npos);
   const std::string tree = render_span_tree(*rows);
   EXPECT_NE(tree.find("b"), std::string::npos);
-  const std::string chrome = chrome_from_spans(*rows);
-  const auto doc = Json::parse(chrome);
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_TRUE(doc->get("traceEvents"));
-  EXPECT_GE(doc->get("traceEvents")->items().size(), 2u);
 }
 
 TEST(Profile, CollectBenchDirMergesAndValidates) {

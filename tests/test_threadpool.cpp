@@ -1,11 +1,13 @@
-// Tests for the work-stealing thread pool and the parallel harness built on
-// it: task completion, exception propagation, nested submission (waiters
-// help drain the pool), and the key contract of the per-sample parallel
-// run_cell -- identical CellStats at 1 thread and at N threads.
+// Tests for the thread pool and the parallel harness built on it: task
+// completion, exception propagation, nested submission (waiters help drain
+// the queue), draining on destruction, and the key contract of the
+// per-sample parallel run_cell -- identical CellStats at 1 thread and at N
+// threads.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 
 #include "attack/gamma.hpp"
 #include "attack/mab.hpp"
@@ -40,25 +42,36 @@ TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
   EXPECT_EQ(pool.wait(pool.submit([] { return 7; })), 7);
 }
 
+void expect_nested_fan_out_completes(std::size_t workers) {
+  // The harness's shape: each "cell" task submits one task per "sample"
+  // and waits for them. With one worker, the outer tasks can only finish if
+  // waiting on inner futures runs queued tasks on the waiting thread.
+  util::ThreadPool pool(workers);
+  std::vector<std::future<int>> cells;
+  for (int c = 0; c < 4; ++c)
+    cells.push_back(pool.submit([&pool, c] {
+      std::vector<std::future<int>> samples;
+      samples.reserve(8);
+      for (int i = 0; i < 8; ++i)
+        samples.push_back(pool.submit([c, i] { return c * 8 + i; }));
+      int sum = 0;
+      for (auto& f : samples) sum += pool.wait(std::move(f));
+      return sum;
+    }));
+  int sum = 0;
+  for (auto& f : cells) sum += pool.wait(std::move(f));
+  EXPECT_EQ(sum, 31 * 32 / 2) << workers << " workers";
+}
+
 TEST(ThreadPool, NestedSubmissionDoesNotDeadlock) {
-  // Single worker: the outer task can only finish if waiting on inner
-  // futures executes pending tasks on the waiting thread.
-  util::ThreadPool pool(1);
-  auto outer = pool.submit([&pool] {
-    std::vector<std::future<int>> inner;
-    inner.reserve(8);
-    for (int i = 0; i < 8; ++i)
-      inner.push_back(pool.submit([i] { return i * i; }));
-    int sum = 0;
-    for (auto& f : inner) sum += pool.wait(std::move(f));
-    return sum;
-  });
-  EXPECT_EQ(pool.wait(std::move(outer)), 140);
+  expect_nested_fan_out_completes(1);
+  expect_nested_fan_out_completes(4);
 }
 
 TEST(ThreadPool, OutsideThreadCanHelp) {
   util::ThreadPool pool(1);
-  // Park the lone worker so pending tasks can only run via run_one().
+  // Park the lone worker: the side task can then only run on the main
+  // thread, helping from inside wait().
   std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   auto parked = pool.submit([&started, &release] {
@@ -66,13 +79,37 @@ TEST(ThreadPool, OutsideThreadCanHelp) {
     while (!release.load()) std::this_thread::yield();
   });
   while (!started.load()) std::this_thread::yield();
-  auto side = pool.submit([] { return 42; });
-  while (!pool.run_one()) std::this_thread::yield();
-  EXPECT_EQ(side.wait_for(std::chrono::seconds(0)),
-            std::future_status::ready);
-  EXPECT_EQ(side.get(), 42);
+  const std::thread::id main_id = std::this_thread::get_id();
+  auto side = pool.submit([] { return std::this_thread::get_id(); });
+  EXPECT_EQ(pool.wait(std::move(side)), main_id);
   release.store(true);
   pool.wait(std::move(parked));
+}
+
+TEST(ThreadPool, DestructorDrainsQueuedTasks) {
+  std::atomic<int> ran{0};
+  std::atomic<bool> release{false};
+  std::vector<std::future<void>> futs;
+  std::thread releaser;
+  {
+    util::ThreadPool pool(1);
+    // The parked worker holds every later task in the queue; it is released
+    // from another thread, normally after the destructor has begun. All
+    // queued tasks must run before the destructor returns.
+    futs.push_back(pool.submit([&release] {
+      while (!release.load()) std::this_thread::yield();
+    }));
+    for (int i = 0; i < 16; ++i)
+      futs.push_back(pool.submit([&ran] { ++ran; }));
+    releaser = std::thread([&release] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      release.store(true);
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(ran.load(), 16);
+  for (auto& f : futs)
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
 }
 
 /// run_cell must produce bit-identical CellStats regardless of the thread

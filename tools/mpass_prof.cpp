@@ -2,8 +2,6 @@
 //
 //   mpass_prof top <file> [-n N]         self-time hotspot table
 //   mpass_prof tree <file>               call-path tree with % of parent
-//   mpass_prof export <file> <out.json>  synthetic aggregate flame as
-//                                        Chrome trace-event JSON (Perfetto)
 //   mpass_prof collect <dir> [--out F] [--expect a,b,c]
 //                                        merge BENCH_*.json into a
 //                                        schema-versioned BENCH_SUMMARY.json;
@@ -45,7 +43,6 @@ int usage() {
       stderr,
       "usage: mpass_prof top <spans.json|BENCH_*.json> [-n N]\n"
       "       mpass_prof tree <spans.json|BENCH_*.json>\n"
-      "       mpass_prof export <spans.json|BENCH_*.json> <out.json>\n"
       "       mpass_prof collect <bench-dir> [--out FILE] [--expect a,b,c]\n"
       "       mpass_prof compare <baseline> <current> [--threshold 0.20]\n"
       "                  [--min-ms 10] [--warn-only] [--only <bench>]\n"
@@ -105,21 +102,6 @@ int cmd_tree(int, char** argv) {
   const auto rows = load_spans(argv[2]);
   if (!rows) return 2;
   std::fputs(mpass::obs::render_span_tree(*rows).c_str(), stdout);
-  return 0;
-}
-
-int cmd_export(int argc, char** argv) {
-  if (argc < 4) return usage();
-  const auto rows = load_spans(argv[2]);
-  if (!rows) return 2;
-  const std::string json = mpass::obs::chrome_from_spans(*rows);
-  std::ofstream out(argv[3], std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "mpass_prof: cannot write %s\n", argv[3]);
-    return 2;
-  }
-  out.write(json.data(), static_cast<std::streamsize>(json.size()));
-  std::printf("wrote %s (%zu span paths)\n", argv[3], rows->size());
   return 0;
 }
 
@@ -193,7 +175,6 @@ int main(int argc, char** argv) {
   const std::string_view cmd = argv[1];
   if (cmd == "top") return cmd_top(argc, argv);
   if (cmd == "tree") return cmd_tree(argc, argv);
-  if (cmd == "export") return cmd_export(argc, argv);
   if (cmd == "collect") return cmd_collect(argc, argv);
   if (cmd == "compare") return cmd_compare(argc, argv);
   return usage();
