@@ -1,6 +1,6 @@
 // Component micro-benchmarks (google-benchmark): PE parse/build, feature
-// extraction, detector inference, the MPass optimizer step, emulator
-// throughput, LZSS, Shapley.
+// extraction, detector inference, the MPass optimizer step, MalRNN's GRU
+// byte generation, emulator throughput, LZSS, Shapley.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -11,6 +11,7 @@
 #include "detectors/features.hpp"
 #include "detectors/models.hpp"
 #include "explain/shapley.hpp"
+#include "ml/gru.hpp"
 #include "pack/packer.hpp"
 #include "pe/pe.hpp"
 #include "util/compress.hpp"
@@ -124,6 +125,21 @@ void BM_OptimizerStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OptimizerStep)->Unit(benchmark::kMillisecond);
+
+// MalRNN's inner loop: one 2048-byte chunk (its first append) from the
+// default-size GRU conditioned on a 64-byte overlay tail. The cost per byte
+// does not depend on the weights, so the LM is left untrained.
+void BM_GruGenerate(benchmark::State& state) {
+  const ml::GruLm lm(ml::GruLmConfig{}, 3);
+  util::Rng rng(9);
+  const util::ByteBuf context = rng.bytes(64);
+  constexpr std::size_t kBytes = 2048;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(lm.generate(kBytes, rng, context, 0.8f));
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * kBytes));
+}
+BENCHMARK(BM_GruGenerate)->Unit(benchmark::kMillisecond);
 
 void BM_VmExecute(benchmark::State& state) {
   const auto& bytes = sample_malware();

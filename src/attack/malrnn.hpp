@@ -24,7 +24,7 @@ struct MalRnnConfig {
 class MalRnn : public Attack {
  public:
   /// lm: the benign byte language model (ModelZoo::benign_lm()).
-  MalRnn(MalRnnConfig cfg, ml::GruLm& lm) : cfg_(cfg), lm_(lm) {}
+  MalRnn(MalRnnConfig cfg, const ml::GruLm& lm) : cfg_(cfg), lm_(lm) {}
 
   std::string_view name() const override { return "MalRNN"; }
 
@@ -32,16 +32,18 @@ class MalRnn : public Attack {
                    detect::HardLabelOracle& oracle,
                    std::uint64_t seed) override;
 
-  /// Clones share the language model: GruLm::generate() only reads the
-  /// trained parameters (no lazy buffers), so concurrent sampling with
-  /// per-clone Rng streams is race-free.
+  /// Clones share the language model: GruLm::generate() is const and reads
+  /// only the trained parameters and the inference tables packed eagerly
+  /// when they last changed (no lazy buffers; scratch is per call), so
+  /// concurrent sampling with per-clone Rng streams is race-free
+  /// (GruLm.ConcurrentGenerateMatchesSequential, run under TSan in CI).
   std::unique_ptr<Attack> clone() const override {
     return std::make_unique<MalRnn>(*this);
   }
 
  private:
   MalRnnConfig cfg_;
-  ml::GruLm& lm_;
+  const ml::GruLm& lm_;
 };
 
 }  // namespace mpass::attack

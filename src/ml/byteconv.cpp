@@ -6,6 +6,7 @@
 #include <cstring>
 #include <type_traits>
 
+#include "ml/lanes.hpp"
 #include "obs/span.hpp"
 #include "util/bytes.hpp"
 
@@ -85,11 +86,6 @@ std::size_t ByteConvNet::time_steps(std::size_t n_tokens) const {
 }
 
 namespace {
-
-// Four float lanes (one SSE register on x86-64). Lane-wise + and * are the
-// scalar IEEE operations, so a lane computes exactly what scalar code does.
-using Lanes = float __attribute__((vector_size(16)));
-constexpr int kLanes = 4;
 
 /// Adds one window's terms to V * kLanes consecutive filters' A and B
 /// accumulators, seeded from (and written back to) ap/bp. Window element
@@ -547,23 +543,9 @@ float ByteConvNet::backward(float target, std::vector<float>* input_grad,
 void ByteConvNet::byte_dots(std::span<const float> g,
                             std::span<float, 256> out) const {
   assert(emb_t_.size() == g.size() * 256 && "byte_dots before a forward");
-  // Lanes run over byte values, 16 per block held in registers across k;
-  // each dot still sums k = 0..d-1 starting from 0.0f.
-  constexpr int V = 4;
-  for (int v0 = 0; v0 < 256; v0 += V * kLanes) {
-    Lanes acc[V] = {};
-    for (std::size_t k = 0; k < g.size(); ++k) {
-      const float gk = g[k];
-      const Lanes gl = {gk, gk, gk, gk};
-      const float* e = emb_t_.data() + k * 256 + v0;
-      for (int j = 0; j < V; ++j) {
-        Lanes el;
-        std::memcpy(&el, e + j * kLanes, sizeof(el));
-        acc[j] += gl * el;
-      }
-    }
-    std::memcpy(out.data() + v0, acc, sizeof(acc));
-  }
+  // Lanes run over byte values; each dot sums k = 0..d-1 from 0.0f.
+  matvec_lanes(emb_t_.data(), 256, g.data(), static_cast<int>(g.size()),
+               out.data());
 }
 
 std::span<const float> ByteConvNet::embedding_row(int token) const {

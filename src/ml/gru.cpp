@@ -4,6 +4,9 @@
 #include <cmath>
 #include <memory>
 
+#include "ml/lanes.hpp"
+#include "obs/span.hpp"
+
 namespace mpass::ml {
 
 namespace {
@@ -41,6 +44,20 @@ void outer_acc(std::span<float> g, std::span<const float> d,
     for (int j = 0; j < cols; ++j) row[j] += di * v[static_cast<std::size_t>(j)];
   }
 }
+
+/// In-place softmax: subtract the max, exponentiate, divide by the
+/// sequential sum.
+void softmax(std::span<float> logits) {
+  const float mx = *std::max_element(logits.begin(), logits.end());
+  float sum = 0.0f;
+  for (float& l : logits) {
+    l = std::exp(l - mx);
+    sum += l;
+  }
+  for (float& l : logits) l /= sum;
+}
+
+int round_up_lanes(int n) { return (n + kLanes - 1) / kLanes * kLanes; }
 }  // namespace
 
 struct GruLm::StepCache {
@@ -74,42 +91,73 @@ GruLm::GruLm(const GruLmConfig& cfg, std::uint64_t seed) : cfg_(cfg) {
   for (Param* p : {uz_, ur_, un_}) init(*p, sh);
   init(*wo_, sh);
   opt_ = std::make_unique<Adam>(params_, 2e-3f);
+  pack();
 }
 
-void GruLm::step(int token, std::vector<float>& h, StepCache* cache) const {
-  const int E = cfg_.embed, H = cfg_.hidden;
-  std::vector<float> x(emb_->w.begin() + static_cast<std::size_t>(token) * E,
-                       emb_->w.begin() + static_cast<std::size_t>(token + 1) * E);
-  std::vector<float> z(bz_->w.begin(), bz_->w.end());
-  std::vector<float> r(br_->w.begin(), br_->w.end());
-  std::vector<float> n(bn_->w.begin(), bn_->w.end());
-  std::vector<float> un_h(static_cast<std::size_t>(H), 0.0f);
+void GruLm::pack() {
+  const int E = cfg_.embed, H = cfg_.hidden, V = cfg_.vocab;
+  hp_ = round_up_lanes(H);
+  vp_ = round_up_lanes(V);
+  const std::size_t hp = static_cast<std::size_t>(hp_);
+  const Param* w[3] = {wz_, wr_, wn_};
+  const Param* u[3] = {uz_, ur_, un_};
+  const Param* b[3] = {bz_, br_, bn_};
 
-  matvec_acc(wz_->w, x, z, H, E);
+  // The bias, then matvec_acc's sum added to it, as step() computes them.
+  in_proj_.assign(static_cast<std::size_t>(V) * 3 * hp, 0.0f);
+  for (int t = 0; t < V; ++t) {
+    const std::span<const float> x(
+        emb_->w.data() + static_cast<std::size_t>(t) * E,
+        static_cast<std::size_t>(E));
+    for (int g = 0; g < 3; ++g) {
+      float* row = in_proj_.data() + (static_cast<std::size_t>(t) * 3 + g) * hp;
+      std::copy(b[g]->w.begin(), b[g]->w.end(), row);
+      matvec_acc(w[g]->w, x, {row, static_cast<std::size_t>(H)}, H, E);
+    }
+  }
+  u_t_.assign(static_cast<std::size_t>(H) * 3 * hp, 0.0f);
+  for (int j = 0; j < H; ++j)
+    for (int g = 0; g < 3; ++g)
+      for (int i = 0; i < H; ++i)
+        u_t_[(static_cast<std::size_t>(j) * 3 + g) * hp + i] =
+            u[g]->w[static_cast<std::size_t>(i) * H + j];
+  wo_t_.assign(static_cast<std::size_t>(H) * vp_, 0.0f);
+  for (int j = 0; j < H; ++j)
+    for (int i = 0; i < V; ++i)
+      wo_t_[static_cast<std::size_t>(j) * vp_ + i] =
+          wo_->w[static_cast<std::size_t>(i) * H + j];
+}
+
+void GruLm::step(int token, std::vector<float>& h, StepCache& c) const {
+  const int E = cfg_.embed, H = cfg_.hidden;
+  c.token = token;
+  c.x.assign(emb_->w.begin() + static_cast<std::size_t>(token) * E,
+             emb_->w.begin() + static_cast<std::size_t>(token + 1) * E);
+  c.h_prev = h;
+  c.z = bz_->w;
+  c.r = br_->w;
+  c.n = bn_->w;
+  c.un_h.assign(static_cast<std::size_t>(H), 0.0f);
+  std::vector<float>& z = c.z;
+  std::vector<float>& r = c.r;
+  std::vector<float>& n = c.n;
+
+  matvec_acc(wz_->w, c.x, z, H, E);
   matvec_acc(uz_->w, h, z, H, H);
-  matvec_acc(wr_->w, x, r, H, E);
+  matvec_acc(wr_->w, c.x, r, H, E);
   matvec_acc(ur_->w, h, r, H, H);
-  matvec_acc(un_->w, h, un_h, H, H);
+  matvec_acc(un_->w, h, c.un_h, H, H);
   for (int i = 0; i < H; ++i) {
     z[static_cast<std::size_t>(i)] = sigmoidf(z[static_cast<std::size_t>(i)]);
     r[static_cast<std::size_t>(i)] = sigmoidf(r[static_cast<std::size_t>(i)]);
   }
-  matvec_acc(wn_->w, x, n, H, E);
+  matvec_acc(wn_->w, c.x, n, H, E);
   for (int i = 0; i < H; ++i)
     n[static_cast<std::size_t>(i)] += r[static_cast<std::size_t>(i)] *
-                                      un_h[static_cast<std::size_t>(i)];
+                                      c.un_h[static_cast<std::size_t>(i)];
   for (int i = 0; i < H; ++i)
     n[static_cast<std::size_t>(i)] = std::tanh(n[static_cast<std::size_t>(i)]);
 
-  if (cache) {
-    cache->token = token;
-    cache->x = x;
-    cache->h_prev = h;
-    cache->z = z;
-    cache->r = r;
-    cache->n = n;
-    cache->un_h = un_h;
-  }
   for (int i = 0; i < H; ++i) {
     const std::size_t k = static_cast<std::size_t>(i);
     h[k] = (1.0f - z[k]) * n[k] + z[k] * h[k];
@@ -120,14 +168,29 @@ std::vector<float> GruLm::output_probs(const std::vector<float>& h) const {
   const int H = cfg_.hidden, V = cfg_.vocab;
   std::vector<float> logits(bo_->w.begin(), bo_->w.end());
   matvec_acc(wo_->w, h, logits, V, H);
-  const float mx = *std::max_element(logits.begin(), logits.end());
-  float sum = 0.0f;
-  for (float& l : logits) {
-    l = std::exp(l - mx);
-    sum += l;
-  }
-  for (float& l : logits) l /= sum;
+  softmax(logits);
   return logits;
+}
+
+void GruLm::infer_step(int token, float* h, float* uh) const {
+  const int H = cfg_.hidden;
+  const float* t = in_proj_.data() + static_cast<std::size_t>(token) * 3 * hp_;
+  matvec_lanes(u_t_.data(), 3 * hp_, h, H, uh);
+  // Gate g of output i is at [g * hp_ + i] in both t and uh.
+  for (int i = 0; i < H; ++i) {
+    const float z = sigmoidf(t[i] + uh[i]);
+    const float r = sigmoidf(t[hp_ + i] + uh[hp_ + i]);
+    const float n = std::tanh(t[2 * hp_ + i] + r * uh[2 * hp_ + i]);
+    h[i] = (1.0f - z) * n + z * h[i];
+  }
+}
+
+void GruLm::infer_probs(const float* h, float* probs) const {
+  const int V = cfg_.vocab;
+  matvec_lanes(wo_t_.data(), vp_, h, cfg_.hidden, probs);
+  for (int i = 0; i < V; ++i)
+    probs[i] = bo_->w[static_cast<std::size_t>(i)] + probs[i];
+  softmax({probs, static_cast<std::size_t>(V)});
 }
 
 float GruLm::train_epoch(const std::vector<util::ByteBuf>& corpus,
@@ -155,7 +218,7 @@ float GruLm::train_epoch(const std::vector<util::ByteBuf>& corpus,
     int prev_token = kStart;
     for (std::size_t t = 0; t < len; ++t) {
       hs[t + 1] = hs[t];
-      step(prev_token, hs[t + 1], &caches[t]);
+      step(prev_token, hs[t + 1], caches[t]);
       probs[t] = output_probs(hs[t + 1]);
       const int target = stream[start + t];
       total_loss -= std::log(std::max(probs[t][static_cast<std::size_t>(target)],
@@ -230,50 +293,50 @@ float GruLm::train_epoch(const std::vector<util::ByteBuf>& corpus,
     }
     opt_->step();
   }
+  pack();
   return total_steps ? static_cast<float>(total_loss / total_steps) : 0.0f;
 }
 
 util::ByteBuf GruLm::generate(std::size_t n, util::Rng& rng,
                               std::span<const std::uint8_t> context,
-                              float temperature) {
-  const int H = cfg_.hidden;
+                              float temperature) const {
+  OBS_SCOPE("ml.gru.generate");
   const int kStart = cfg_.vocab - 1;
-  std::vector<float> h(static_cast<std::size_t>(H), 0.0f);
-  int prev = kStart;
-  step(prev, h, nullptr);
+  std::vector<float> h(static_cast<std::size_t>(cfg_.hidden), 0.0f);
+  std::vector<float> uh(static_cast<std::size_t>(3 * hp_));
+  std::vector<float> p(static_cast<std::size_t>(vp_));
+  std::vector<double> weights(256);
+  infer_step(kStart, h.data(), uh.data());
   for (std::uint8_t b : context.subspan(
-           context.size() > 64 ? context.size() - 64 : 0)) {
-    prev = b;
-    step(prev, h, nullptr);
-  }
+           context.size() > 64 ? context.size() - 64 : 0))
+    infer_step(b, h.data(), uh.data());
   util::ByteBuf out;
   out.reserve(n);
   const float inv_temp = 1.0f / std::max(temperature, 0.05f);
   for (std::size_t i = 0; i < n; ++i) {
-    std::vector<float> p = output_probs(h);
+    infer_probs(h.data(), p.data());
     // Temperature re-shaping over the 256 byte values (exclude start token).
-    std::vector<double> weights(256);
     for (int b = 0; b < 256; ++b)
       weights[static_cast<std::size_t>(b)] =
           std::pow(static_cast<double>(p[static_cast<std::size_t>(b)]),
                    static_cast<double>(inv_temp));
     const int next = static_cast<int>(rng.weighted(weights));
     out.push_back(static_cast<std::uint8_t>(next));
-    step(next, h, nullptr);
+    infer_step(next, h.data(), uh.data());
   }
   return out;
 }
 
-float GruLm::evaluate(std::span<const std::uint8_t> bytes) {
+float GruLm::evaluate(std::span<const std::uint8_t> bytes) const {
   if (bytes.empty()) return 0.0f;
-  const int H = cfg_.hidden;
-  const int kStart = cfg_.vocab - 1;
-  std::vector<float> h(static_cast<std::size_t>(H), 0.0f);
-  int prev = kStart;
+  std::vector<float> h(static_cast<std::size_t>(cfg_.hidden), 0.0f);
+  std::vector<float> uh(static_cast<std::size_t>(3 * hp_));
+  std::vector<float> p(static_cast<std::size_t>(vp_));
+  int prev = cfg_.vocab - 1;
   double loss = 0.0;
   for (std::uint8_t b : bytes) {
-    step(prev, h, nullptr);
-    std::vector<float> p = output_probs(h);
+    infer_step(prev, h.data(), uh.data());
+    infer_probs(h.data(), p.data());
     loss -= std::log(std::max(p[b], 1e-9f));
     prev = b;
   }
@@ -300,6 +363,7 @@ void GruLm::load(util::Unarchive& ar) {
       cfg.vocab != cfg_.vocab)
     throw util::ParseError("grulm: config mismatch");
   params_.load(ar);
+  pack();
 }
 
 }  // namespace mpass::ml

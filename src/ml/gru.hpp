@@ -32,12 +32,14 @@ class GruLm {
 
   /// Samples n bytes autoregressively, optionally conditioned on a context
   /// prefix; temperature < 1 sharpens toward the learned benign statistics.
+  /// Reads only the weights and the packed tables, so concurrent calls
+  /// with their own Rng are race-free.
   util::ByteBuf generate(std::size_t n, util::Rng& rng,
                          std::span<const std::uint8_t> context = {},
-                         float temperature = 0.8f);
+                         float temperature = 0.8f) const;
 
   /// Mean cross-entropy of a byte sequence under the model (nats/byte).
-  float evaluate(std::span<const std::uint8_t> bytes);
+  float evaluate(std::span<const std::uint8_t> bytes) const;
 
   const GruLmConfig& config() const { return cfg_; }
 
@@ -47,11 +49,24 @@ class GruLm {
  private:
   struct StepCache;
 
-  /// One GRU step; returns new hidden state, fills cache if given.
-  void step(int token, std::vector<float>& h, StepCache* cache) const;
+  /// One training GRU step on the raw weights: advances h, fills cache.
+  void step(int token, std::vector<float>& h, StepCache& cache) const;
 
-  /// Softmax over logits of hidden state h.
+  /// Softmax over logits of hidden state h, on the raw weights.
   std::vector<float> output_probs(const std::vector<float>& h) const;
+
+  /// Rebuilds the packed inference tables from the current weights. Runs
+  /// whenever the weights change (construction, load, end of train_epoch),
+  /// never lazily: clones of MalRnn share one GruLm across threads.
+  void pack();
+
+  /// One inference step on the packed tables: advances h (H floats) by
+  /// token; uh is 3 * hp_ floats of scratch. Bit-identical to step().
+  void infer_step(int token, float* h, float* uh) const;
+
+  /// Output-head softmax on the packed tables: probs (vp_ floats) gets the
+  /// first V entries; bit-identical to output_probs().
+  void infer_probs(const float* h, float* probs) const;
 
   GruLmConfig cfg_;
   ParamSet params_;
@@ -61,6 +76,14 @@ class GruLm {
   Param* wn_; Param* un_; Param* bn_;
   Param* wo_; Param* bo_;      // vocab x hidden output head
   std::unique_ptr<Adam> opt_;
+
+  // Packed inference tables (pack()). hp_ and vp_ are H and V rounded up
+  // to whole vector lanes; padding entries are zero. Gates are ordered
+  // z, r, n.
+  int hp_ = 0, vp_ = 0;
+  std::vector<float> in_proj_;  // vocab x 3 x hp_: b_g + W_g . emb[t]
+  std::vector<float> u_t_;      // H x 3 hp_: U_z, U_r, U_n transposed
+  std::vector<float> wo_t_;     // H x vp_: W_o transposed
 };
 
 }  // namespace mpass::ml

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "detectors/models.hpp"
 #include "ml/byteconv.hpp"
 #include "ml/gbdt.hpp"
 #include "ml/gru.hpp"
+#include "util/hashing.hpp"
 #include "util/rng.hpp"
 
 namespace mpass::ml {
@@ -364,6 +367,146 @@ TEST(GruLm, SaveLoadRoundTrip) {
   util::Unarchive un(blob);
   other.load(un);
   EXPECT_FLOAT_EQ(other.evaluate(probe), before);
+}
+
+// A briefly trained LM, so generation samples from a peaked distribution
+// rather than the near-uniform one of fresh weights.
+void train_briefly(GruLm& lm) {
+  util::Rng rng(41);
+  ByteBuf stream;
+  for (int i = 0; i < 600; ++i)
+    stream.push_back(i % 7 ? static_cast<std::uint8_t>(i % 5) : rng.byte());
+  lm.train_epoch({stream, rng.bytes(300)}, 12, 5e-3f, rng);
+}
+
+std::uint32_t float_bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+// Digests of generate() output and of the Rng's next draw, recorded with
+// the scalar GRU step: the packed inference step must reproduce it bit for
+// bit. H=10/E=3 pads H to 12; context 100 exercises the 64-byte tail cut.
+TEST(GruLm, GenerateMatchesParentDigests) {
+  struct Case {
+    int hidden, embed;
+    std::size_t context, n;
+    float temperature;
+    std::uint64_t digest, rng_next;
+  };
+  const Case cases[] = {
+      {48, 16, 0, 3000, 0.8f, 0x3253b2022090f1ddULL, 0x50c0278b02575d62ULL},
+      {48, 16, 5, 3000, 0.2f, 0xe09ef94317e95779ULL, 0xd5eb2c82ef4f1ddeULL},
+      {48, 16, 100, 3000, 1.0f, 0x22aba68e6d78a21fULL, 0x4b513206b21a4827ULL},
+      {48, 16, 100, 1, 0.8f, 0xaf63fc4c860222ecULL, 0xba3acf64a4ef1817ULL},
+      {48, 16, 0, 1, 0.2f, 0xaf642d4c8602762fULL, 0xfadf296c0d30a0c6ULL},
+      {10, 3, 0, 3000, 0.8f, 0x802052f6ef63a5f8ULL, 0x70f2a176b3a73b81ULL},
+      {10, 3, 5, 3000, 1.0f, 0x967d8940f5e578edULL, 0xea0882bb7f19dddcULL},
+      {10, 3, 100, 3000, 0.2f, 0xbc9e6edfaf7b2c4cULL, 0x2aa0f3e99f4de062ULL},
+      {10, 3, 5, 1, 0.8f, 0xaf64354c860283c7ULL, 0x2889932b629dcb9aULL},
+  };
+  std::uint64_t seed = 1000;
+  for (const Case& c : cases) {
+    GruLmConfig cfg;
+    cfg.hidden = c.hidden;
+    cfg.embed = c.embed;
+    GruLm lm(cfg, 7);
+    train_briefly(lm);
+    util::Rng ctx_rng(c.context);
+    const ByteBuf context = ctx_rng.bytes(c.context);
+    util::Rng rng(++seed);
+    const ByteBuf out = lm.generate(c.n, rng, context, c.temperature);
+    ASSERT_EQ(out.size(), c.n);
+    EXPECT_EQ(util::fnv1a64(out), c.digest)
+        << "H=" << c.hidden << " context=" << c.context << " n=" << c.n
+        << " T=" << c.temperature;
+    EXPECT_EQ(rng(), c.rng_next) << "H=" << c.hidden << " n=" << c.n;
+  }
+}
+
+// Sampling hides ULP-level drift: a byte flips only when the uniform draw
+// lands inside it. So this pins the float bits of evaluate() on every
+// prefix of a probe; each is the mean of per-byte float logs, so a one-ULP
+// change in any step's probabilities shows in some prefix.
+TEST(GruLm, EvaluatePrefixesMatchParentBits) {
+  const struct {
+    int hidden, embed;
+    std::uint64_t digest;
+  } cases[] = {{48, 16, 0xdce8594d84a72c7dULL},
+               {10, 3, 0x6657b9fed7d1bd82ULL}};
+  for (const auto& c : cases) {
+    GruLmConfig cfg;
+    cfg.hidden = c.hidden;
+    cfg.embed = c.embed;
+    GruLm lm(cfg, 7);
+    train_briefly(lm);
+    util::Rng rng(5);
+    ByteBuf probe;
+    for (int i = 0; i < 160; ++i)
+      probe.push_back(static_cast<std::uint8_t>(i % 3 ? i % 5 : rng.byte()));
+    std::uint64_t digest = 0;
+    for (std::size_t k = 1; k <= probe.size(); ++k)
+      digest = util::hash_combine(
+          digest, float_bits(lm.evaluate(std::span(probe).first(k))));
+    EXPECT_EQ(digest, c.digest) << "H=" << c.hidden;
+  }
+}
+
+// The packed inference tables follow the weights: after training, and
+// after load() into a model built from another seed, generate() and
+// evaluate() see the current parameters, not the ones packed at
+// construction.
+TEST(GruLm, PackedWeightsFollowLoadAndTraining) {
+  GruLmConfig cfg;
+  cfg.hidden = 10;
+  cfg.embed = 3;
+  GruLm lm(cfg, 5);
+  train_briefly(lm);
+  util::Archive ar;
+  lm.save(ar);
+  const ByteBuf blob = ar.take();
+  GruLm other(cfg, 99);
+  util::Unarchive un(blob);
+  other.load(un);
+
+  util::Rng probe_rng(3);
+  const ByteBuf probe = probe_rng.bytes(200);
+  EXPECT_EQ(float_bits(other.evaluate(probe)), float_bits(lm.evaluate(probe)));
+  util::Rng a(17), b(17);
+  EXPECT_EQ(other.generate(500, a, probe, 0.8f),
+            lm.generate(500, b, probe, 0.8f));
+
+  // A model that was never trained generates something else from the same
+  // stream, so the equality above is not vacuous.
+  GruLm fresh(cfg, 5);
+  util::Rng c(17), d(17);
+  EXPECT_NE(fresh.generate(500, c, probe, 0.8f),
+            lm.generate(500, d, probe, 0.8f));
+}
+
+// MalRnn clones share one LM across pool threads: concurrent generate()
+// calls with their own Rng streams must produce exactly the sequential
+// output (and run race-free under ThreadSanitizer).
+TEST(GruLm, ConcurrentGenerateMatchesSequential) {
+  GruLm lm(GruLmConfig{}, 11);
+  train_briefly(lm);
+  util::Rng ctx_rng(2);
+  const ByteBuf context = ctx_rng.bytes(80);
+  constexpr int kThreads = 4;
+  std::vector<ByteBuf> expected(kThreads), got(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    util::Rng rng(100 + t);
+    expected[t] = lm.generate(400, rng, context, 0.8f);
+  }
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      util::Rng rng(100 + t);
+      got[t] = lm.generate(400, rng, context, 0.8f);
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(got[t], expected[t]) << t;
 }
 
 // ---- Adam --------------------------------------------------------------------
