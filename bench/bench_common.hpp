@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "harness/experiment.hpp"
+#include "ml/kernels.hpp"
 #include "obs/json.hpp"
 #include "obs/span.hpp"
 #include "util/table.hpp"
@@ -123,6 +124,10 @@ class BenchReport {
 #else
     out += "Debug";
 #endif
+    // Which byte-net kernel set ran (ml/kernels.hpp): timings taken on
+    // the 8-lane and the 4-lane path are not comparable.
+    out += "\",\"kernel_isa\":\"";
+    out += ml::kernel_isa();
     out += "\",\"threads\":";
     obs::json_number(out,
                      static_cast<double>(util::ThreadPool::instance().size()));

@@ -60,6 +60,21 @@ void BM_MalConvForward(benchmark::State& state) {
 }
 BENCHMARK(BM_MalConvForward);
 
+// One attack-mode backward over a 16 KB buffer: the input gradient with
+// the soft-pool surrogate (tau = 0.5), as each optimizer step runs it per
+// known net.
+void BM_MalConvBackward(benchmark::State& state) {
+  detect::ByteConvDetector det("bench", detect::malconv_config(), 11);
+  util::ByteBuf buf = sample_malware();
+  buf.resize(16384, 0x90);
+  det.net().forward(buf);
+  std::vector<float> grad;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(det.net().backward(
+        0.0f, &grad, /*accumulate_params=*/false, /*soft_pool_tau=*/0.5f));
+}
+BENCHMARK(BM_MalConvBackward);
+
 // Single-window-edit query cost: the inner loop of every query-based
 // attack -- mutate one small window, re-score. Delta scores through the
 // detector (forward_auto: diff vs cached activations), Full calls the net's

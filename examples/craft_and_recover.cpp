@@ -29,7 +29,7 @@ int main() {
   std::printf("original %zu bytes -> modified %zu bytes (APR %.0f%%)\n",
               original.size(), mod.bytes.size(), 100.0 * mod.apr);
   std::printf("%zu perturbable byte positions, %zu byte->key couplings\n",
-              mod.perturbable.size(), mod.key_of.size());
+              mod.perturbable.size(), mod.coupled_count());
 
   // Show what happened to the sections.
   const pe::PeFile before = pe::PeFile::parse(original);

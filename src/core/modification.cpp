@@ -65,11 +65,16 @@ void ModifiedSample::set_byte(std::uint32_t p, std::uint8_t v) {
   const std::uint8_t old = bytes[p];
   if (old == v) return;
   bytes[p] = v;
-  if (const auto it = key_of.find(p); it != key_of.end()) {
+  if (const std::uint32_t k = key_of[p]; k != kNoKey) {
     // Keep x = b - k invariant: k += (b_new - b_old)  (mod 256).
-    bytes[it->second] = static_cast<std::uint8_t>(
-        bytes[it->second] + static_cast<std::uint8_t>(v - old));
+    bytes[k] = static_cast<std::uint8_t>(bytes[k] +
+                                         static_cast<std::uint8_t>(v - old));
   }
+}
+
+std::size_t ModifiedSample::coupled_count() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      key_of, [](std::uint32_t k) { return k != kNoKey; }));
 }
 
 ModifiedSample apply_modification(std::span<const std::uint8_t> malware,
@@ -202,12 +207,13 @@ ModifiedSample apply_modification(std::span<const std::uint8_t> malware,
 
   // Encoded section bytes (with key mapping into the new section).
   const std::uint32_t new_off = layout.sections[new_index].file_offset;
+  out.key_of.assign(out.bytes.size(), ModifiedSample::kNoKey);
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const std::uint32_t sec_off = layout.sections[targets[t]].file_offset;
     const std::uint32_t key_off = new_off + recovery.key_offsets[t];
     for (std::uint32_t j = 0; j < regions[t].len; ++j) {
       out.perturbable.push_back(sec_off + j);
-      out.key_of.emplace(sec_off + j, key_off + j);
+      out.key_of[sec_off + j] = key_off + j;
     }
   }
   // Shuffle gaps + tail filler.

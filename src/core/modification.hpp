@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/recovery.hpp"
@@ -47,8 +46,10 @@ struct ModificationConfig {
 struct ModifiedSample {
   util::ByteBuf bytes;                      // built PE (mutate in place)
   std::vector<std::uint32_t> perturbable;   // file offsets: the set I
-  // J: encoded-byte file offset -> its key byte file offset.
-  std::unordered_map<std::uint32_t, std::uint32_t> key_of;
+  // J: key_of[p] is the file offset of encoded byte p's key byte, kNoKey
+  // for every other offset (one entry per byte of `bytes`).
+  static constexpr std::uint32_t kNoKey = 0xFFFFFFFFu;
+  std::vector<std::uint32_t> key_of;
   double apr = 0.0;                         // size increase ratio
   std::uint32_t recovery_section_off = 0;   // file offset of the new section
   std::uint32_t recovery_section_len = 0;
@@ -56,6 +57,9 @@ struct ModifiedSample {
   /// Writes value v at perturbable offset p, co-updating p's key byte so the
   /// recovered original byte is unchanged (the M*delta constraint).
   void set_byte(std::uint32_t p, std::uint8_t v);
+
+  /// Number of encoded bytes with a key (entries of J).
+  std::size_t coupled_count() const;
 };
 
 /// Applies the modification. Throws util::ParseError on unparsable input.

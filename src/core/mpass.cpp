@@ -29,7 +29,7 @@ void trace_donor(const MpassConfig& cfg, const ModifiedSample& mod,
       .str("targets", target_mode_name(cfg.modification.targets))
       .boolean("shuffle", cfg.modification.stub.shuffle)
       .uint("perturbable", mod.perturbable.size())
-      .uint("coupled_keys", mod.key_of.size())
+      .uint("coupled_keys", mod.coupled_count())
       .uint("stub_off", mod.recovery_section_off)
       .uint("stub_len", mod.recovery_section_len)
       .num("apr", mod.apr);

@@ -1,7 +1,6 @@
 #include "core/optimizer.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -67,10 +66,9 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
         const float* g = grads[i].data() + static_cast<std::size_t>(p) * d;
         for (int k = 0; k < d; ++k) mag += g[k] * g[k];
       }
-      const auto key_it = sample.key_of.find(p);
-      if (key_it != sample.key_of.end() && key_it->second < consumed[i]) {
-        const float* g =
-            grads[i].data() + static_cast<std::size_t>(key_it->second) * d;
+      const std::uint32_t key = sample.key_of[p];
+      if (key != ModifiedSample::kNoKey && key < consumed[i]) {
+        const float* g = grads[i].data() + static_cast<std::size_t>(key) * d;
         for (int k = 0; k < d; ++k) mag += g[k] * g[k];
       }
     }
@@ -100,51 +98,35 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
     // One span per step, so the profile separates the scan from the
     // gradient and line-search time of core.opt_step.
     OBS_SCOPE("core.opt_scan");
-    std::array<float, 256> cand, dots;
+    const auto scan = ml::kernels().scan_candidates;
+    std::vector<ml::ScanTerm> terms;
+    terms.reserve(2 * m);
     for (const auto& [mag, p] : by_magnitude) {
-      const auto key_it = sample.key_of.find(p);
-      const bool has_key = key_it != sample.key_of.end();
-      const std::uint32_t kpos = has_key ? key_it->second : 0;
-
-      bool visible = false;
-      for (std::size_t i = 0; i < m; ++i)
-        if (p < consumed[i] || (has_key && kpos < consumed[i])) visible = true;
-      if (!visible) continue;
-
+      const std::uint32_t kpos = sample.key_of[p];
+      const bool has_key = kpos != ModifiedSample::kNoKey;
       const std::uint8_t cur = sample.bytes[p];
       const std::uint8_t cur_key = has_key ? sample.bytes[kpos] : 0;
       // Choosing byte v at p forces key value cur_key + (v - cur), so the
       // key term of candidate v is the key dot of byte (v + rot) & 255.
       const std::uint8_t rot = static_cast<std::uint8_t>(cur_key - cur);
 
-      cand.fill(0.0f);
+      // Net by net: the term at p, then the key's term.
+      terms.clear();
       for (std::size_t i = 0; i < m; ++i) {
         const std::size_t d =
             static_cast<std::size_t>(known_[i]->config().embed_dim);
-        if (p < consumed[i]) {
-          known_[i]->byte_dots({grads[i].data() + p * d, d}, dots);
-          for (int v = 0; v < 256; ++v) cand[v] += dots[v];
-        }
-        if (has_key && kpos < consumed[i]) {
-          known_[i]->byte_dots({grads[i].data() + kpos * d, d}, dots);
-          // cand[v] += dots[(v + rot) & 255], as two contiguous runs.
-          const int split = 256 - rot;
-          for (int v = 0; v < split; ++v) cand[v] += dots[v + rot];
-          for (int v = split; v < 256; ++v) cand[v] += dots[v - split];
-        }
+        if (p < consumed[i])
+          terms.push_back(known_[i]->scan_term(grads[i].data() + p * d, 0));
+        if (has_key && kpos < consumed[i])
+          terms.push_back(
+              known_[i]->scan_term(grads[i].data() + kpos * d, rot));
       }
+      if (terms.empty()) continue;  // invisible to every net
 
-      int best = cur;
-      float best_score = cand[cur];
-      for (int v = 0; v < 256; ++v) {
-        if (cand[v] < best_score) {
-          best_score = cand[v];
-          best = v;
-        }
-      }
-      if (best != cur)
-        updates.push_back(
-            {p, static_cast<std::uint8_t>(best), cur, cand[cur] - best_score});
+      const ml::ScanResult r = scan(terms, cur);
+      if (r.best != cur)
+        updates.push_back({p, static_cast<std::uint8_t>(r.best), cur,
+                           r.cur_score - r.best_score});
     }
   }
   if (updates.empty()) return total_loss / static_cast<float>(m);
@@ -172,11 +154,11 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
   pre_step.reserve(updates.size());
   for (const Update& u : updates) {
     PreByte pb{u.pos, sample.bytes[u.pos], false, 0, 0};
-    const auto it = sample.key_of.find(u.pos);
-    if (it != sample.key_of.end()) {
+    const std::uint32_t key = sample.key_of[u.pos];
+    if (key != ModifiedSample::kNoKey) {
       pb.has_key = true;
-      pb.key_pos = it->second;
-      pb.key_val = sample.bytes[it->second];
+      pb.key_pos = key;
+      pb.key_val = sample.bytes[key];
     }
     pre_step.push_back(pb);
   }

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
-#include <type_traits>
-
-#include "ml/lanes.hpp"
 #include "obs/span.hpp"
 #include "util/bytes.hpp"
 
@@ -85,40 +81,6 @@ std::size_t ByteConvNet::time_steps(std::size_t n_tokens) const {
   return (n_tokens - cfg_.width) / cfg_.stride + 1;
 }
 
-namespace {
-
-/// Adds one window's terms to V * kLanes consecutive filters' A and B
-/// accumulators, seeded from (and written back to) ap/bp. Window element
-/// i = j * d + k is emb[tok[j] * d + k]. The lanes run over filters; each
-/// filter still adds w[i] * x[i] in i order, so every output is the same
-/// float sum as a per-filter dot product.
-template <int V>
-void conv_filters(const float* emb, const int* tok, int W, int d,
-                  const float* wa_t, const float* wb_t, int F, float* ap,
-                  float* bp) {
-  Lanes sa[V], sb[V];
-  std::memcpy(sa, ap, sizeof(sa));
-  std::memcpy(sb, bp, sizeof(sb));
-  for (int j = 0; j < W; ++j) {
-    const float* e = emb + static_cast<std::size_t>(tok[j]) * d;
-    for (int k = 0; k < d; ++k, wa_t += F, wb_t += F) {
-      const float w = e[k];
-      const Lanes x = {w, w, w, w};
-      for (int v = 0; v < V; ++v) {
-        Lanes la, lb;
-        std::memcpy(&la, wa_t + v * kLanes, sizeof(la));
-        std::memcpy(&lb, wb_t + v * kLanes, sizeof(lb));
-        sa[v] += la * x;
-        sb[v] += lb * x;
-      }
-    }
-  }
-  std::memcpy(ap, sa, sizeof(sa));
-  std::memcpy(bp, sb, sizeof(sb));
-}
-
-}  // namespace
-
 const float* ByteConvNet::embed_window(std::size_t p) {
   const int d = cfg_.embed_dim;
   win_.resize(static_cast<std::size_t>(cfg_.width) * d);
@@ -128,47 +90,23 @@ const float* ByteConvNet::embed_window(std::size_t p) {
   return win_.data();
 }
 
-void ByteConvNet::conv_row(std::size_t p) {
-  const int d = cfg_.embed_dim;
+void ByteConvNet::conv_rows(std::size_t p_lo, std::size_t p_hi) {
   const int F = cfg_.filters;
-  const int W = cfg_.width;
-  const float* emb = emb_->w.data();
-  const int* tok = tokens_.data() + p * cfg_.stride;
-  float* ap = a_.data() + p * F;
-  float* bp = b_.data() + p * F;
-  std::copy_n(ba_->w.data(), F, ap);
-  std::copy_n(bb_->w.data(), F, bp);
-  // Filters in blocks whose accumulators stay in registers; the 16-filter
-  // block carries enough independent adds to hide the add latency. The
-  // last F % 4 filters run one lane each.
-  const float* wa = wa_t_.data();
-  const float* wb = wb_t_.data();
-  int f0 = 0;
-  const auto block = [&](auto v) {
-    conv_filters<v>(emb, tok, W, d, wa + f0, wb + f0, F, ap + f0, bp + f0);
-    f0 += v * kLanes;
-  };
-  while (F - f0 >= 4 * kLanes) block(std::integral_constant<int, 4>{});
-  if (F - f0 >= 2 * kLanes) block(std::integral_constant<int, 2>{});
-  if (F - f0 >= kLanes) block(std::integral_constant<int, 1>{});
-  for (; f0 < F; ++f0) {
-    float sa = ap[f0];
-    float sb = bp[f0];
-    const float* wai = wa + f0;
-    const float* wbi = wb + f0;
-    for (int j = 0; j < W; ++j) {
-      const float* e = emb + static_cast<std::size_t>(tok[j]) * d;
-      for (int k = 0; k < d; ++k, wai += F, wbi += F) {
-        sa += *wai * e[k];
-        sb += *wbi * e[k];
-      }
-    }
-    ap[f0] = sa;
-    bp[f0] = sb;
-  }
-  float* hp = h_.data() + p * F;
-  for (int f = 0; f < F; ++f)
-    hp[f] = cfg_.gated ? ap[f] * sigmoidf(bp[f]) : std::max(0.0f, ap[f]);
+  const ConvRowsArgs args{.emb = emb_->w.data(),
+                          .tokens = tokens_.data(),
+                          .wa_t = wa_t_.data(),
+                          .wb_t = wb_t_.data(),
+                          .ba = ba_->w.data(),
+                          .bb = bb_->w.data(),
+                          .d = cfg_.embed_dim,
+                          .F = F,
+                          .W = cfg_.width,
+                          .S = cfg_.stride,
+                          .a = a_.data(),
+                          .b = b_.data()};
+  kernels().conv_rows(args, p_lo, p_hi);
+  for (std::size_t i = p_lo * F; i < p_hi * F; ++i)
+    h_[i] = cfg_.gated ? a_[i] * sigmoidf(b_[i]) : std::max(0.0f, a_[i]);
 }
 
 void ByteConvNet::pool_and_head() {
@@ -237,7 +175,7 @@ float ByteConvNet::forward(std::span<const std::uint8_t> bytes) {
   for (std::size_t t = 0; t < n_tok; ++t)
     tokens_[t] = t < n ? static_cast<int>(bytes[t]) : kPad;
 
-  // Filter-major weight copies for conv_row, rebuilt from the live weights
+  // Filter-major weight copies for conv_rows, rebuilt from the live weights
   // on every full forward (~2 * W * d * F floats next to T * W * d * F
   // multiply-adds). The delta path only runs while the ParamSet version
   // is unchanged since this forward, so it always sees current copies.
@@ -249,17 +187,18 @@ float ByteConvNet::forward(std::span<const std::uint8_t> bytes) {
       wa_t_[i * F + f] = wa_->w[f * window + i];
       wb_t_[i * F + f] = wb_->w[f * window + i];
     }
-  emb_t_.resize(static_cast<std::size_t>(d) * 256);
-  for (int v = 0; v < 256; ++v)
+  emb_t_.resize(static_cast<std::size_t>(d) * 512);
+  for (int v = 0; v < 512; ++v)
     for (int k = 0; k < d; ++k)
-      emb_t_[static_cast<std::size_t>(k) * 256 + v] = emb_->w[v * d + k];
+      emb_t_[static_cast<std::size_t>(k) * 512 + v] =
+          emb_->w[(v & 255) * d + k];
 
   // Convolutions + gating.
   const std::size_t T = time_steps(n_tok);
   a_.assign(T * F, 0.0f);
   b_.assign(T * F, 0.0f);
   h_.assign(T * F, 0.0f);
-  for (std::size_t p = 0; p < T; ++p) conv_row(p);
+  conv_rows(0, T);
 
   pool_and_head();
 
@@ -282,7 +221,7 @@ float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
   const int S = cfg_.stride;
   const std::size_t T = time_steps(tokens_.size());
 
-  // Re-tokenize the dirty positions; conv_row embeds from the tokens.
+  // Re-tokenize the dirty positions; conv_rows embeds from the tokens.
   for (const ByteRange& r : ranges)
     for (std::size_t t = r.lo; t < r.hi; ++t)
       tokens_[t] = static_cast<int>(bytes[t]);
@@ -311,8 +250,7 @@ float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
   }
   if (!tranges.empty()) tranges.resize(w + 1);
 
-  for (const ByteRange& tr : tranges)
-    for (std::size_t p = tr.lo; p < tr.hi; ++p) conv_row(p);
+  for (const ByteRange& tr : tranges) conv_rows(tr.lo, tr.hi);
 
   if (cfg_.channel_gating) {
     // Any h row perturbs the mean-pooled context and hence every gate, so
@@ -445,15 +383,17 @@ float ByteConvNet::backward(float target, std::vector<float>* input_grad,
   if (soft_pool_tau > 0.0f && T > 0) {
     // Softmax-pool surrogate: weight each window by exp(value/tau).
     const float inv_tau = 1.0f / soft_pool_tau;
+    std::vector<float> e(T);
     for (int f = 0; f < F; ++f) {
       const float peak = pooled_[f];
       float z = 0.0f;
-      for (std::size_t p = 0; p < T; ++p)
-        z += std::exp((h_[p * F + f] * gate_[f] - peak) * inv_tau);
+      for (std::size_t p = 0; p < T; ++p) {
+        e[p] = std::exp((h_[p * F + f] * gate_[f] - peak) * inv_tau);
+        z += e[p];
+      }
       if (z <= 0.0f) continue;
       for (std::size_t p = 0; p < T; ++p) {
-        const float w =
-            std::exp((h_[p * F + f] * gate_[f] - peak) * inv_tau) / z;
+        const float w = e[p] / z;
         dh[p * F + f] += dpool[f] * gate_[f] * w;
         dgate[f] += dpool[f] * h_[p * F + f] * w;
       }
@@ -484,47 +424,44 @@ float ByteConvNet::backward(float target, std::vector<float>* input_grad,
       for (int f = 0; f < F; ++f) dh[p * F + f] += dctx[f] * inv_t;
   }
 
-  // Through gating + convolutions into the embedded input.
+  // Through gating + convolutions into the embedded input. The kernel
+  // adds each active filter's terms to the window's input gradient; the
+  // parameter gradients follow in their own loop, in the same order per
+  // element (timestep by timestep, filter by filter).
   std::vector<float> dx(tokens_.size() * d, 0.0f);
   const int window = W * d;
+  const ByteNetKernels& kern = kernels();
+  const float* wa = wa_->w.data();
+  const float* wb = cfg_.gated ? wb_->w.data() : nullptr;
+  std::vector<FilterGrad> active;
+  active.reserve(F);
   for (std::size_t p = 0; p < T; ++p) {
     const float* hp_a = a_.data() + p * F;
     const float* hp_b = b_.data() + p * F;
-    const float* win = nullptr;  // embedded window, gathered on first use
-    float* dwin = dx.data() + p * S * d;
+    active.clear();
     for (int f = 0; f < F; ++f) {
       const float g = dh[p * F + f];
       if (g == 0.0f) continue;
-      float da, db;
       if (cfg_.gated) {
         const float sb = sigmoidf(hp_b[f]);
-        da = g * sb;
-        db = g * hp_a[f] * sb * (1.0f - sb);
+        active.push_back({f, g * sb, g * hp_a[f] * sb * (1.0f - sb)});
       } else {
-        da = hp_a[f] > 0.0f ? g : 0.0f;
-        db = 0.0f;
+        active.push_back({f, hp_a[f] > 0.0f ? g : 0.0f, 0.0f});
       }
-      const float* wra = wa_->w.data() + static_cast<std::size_t>(f) * window;
-      const float* wrb = wb_->w.data() + static_cast<std::size_t>(f) * window;
-      if (accumulate_params) {
-        if (!win) win = embed_window(p);
-        float* gra = wa_->g.data() + static_cast<std::size_t>(f) * window;
-        float* grb = wb_->g.data() + static_cast<std::size_t>(f) * window;
-        for (int i = 0; i < window; ++i) {
-          gra[i] += da * win[i];
-          dwin[i] += da * wra[i];
-          if (cfg_.gated) {
-            grb[i] += db * win[i];
-            dwin[i] += db * wrb[i];
-          }
-        }
-        ba_->g[f] += da;
-        if (cfg_.gated) bb_->g[f] += db;
-      } else {
-        for (int i = 0; i < window; ++i) {
-          dwin[i] += da * wra[i];
-          if (cfg_.gated) dwin[i] += db * wrb[i];
-        }
+    }
+    if (active.empty()) continue;
+    kern.input_grad_row(wa, wb, window, active, dx.data() + p * S * d);
+    if (!accumulate_params) continue;
+    const float* win = embed_window(p);
+    for (const FilterGrad& fg : active) {
+      const std::size_t row = static_cast<std::size_t>(fg.f) * window;
+      float* gra = wa_->g.data() + row;
+      for (int i = 0; i < window; ++i) gra[i] += fg.da * win[i];
+      ba_->g[fg.f] += fg.da;
+      if (cfg_.gated) {
+        float* grb = wb_->g.data() + row;
+        for (int i = 0; i < window; ++i) grb[i] += fg.db * win[i];
+        bb_->g[fg.f] += fg.db;
       }
     }
   }
@@ -540,12 +477,10 @@ float ByteConvNet::backward(float target, std::vector<float>* input_grad,
   return loss;
 }
 
-void ByteConvNet::byte_dots(std::span<const float> g,
-                            std::span<float, 256> out) const {
-  assert(emb_t_.size() == g.size() * 256 && "byte_dots before a forward");
-  // Lanes run over byte values; each dot sums k = 0..d-1 from 0.0f.
-  matvec_lanes(emb_t_.data(), 256, g.data(), static_cast<int>(g.size()),
-               out.data());
+ScanTerm ByteConvNet::scan_term(const float* g, std::uint8_t rot) const {
+  assert(emb_t_.size() == static_cast<std::size_t>(cfg_.embed_dim) * 512 &&
+         "scan_term before a forward");
+  return {emb_t_.data(), g, cfg_.embed_dim, rot};
 }
 
 std::span<const float> ByteConvNet::embedding_row(int token) const {

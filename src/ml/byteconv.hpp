@@ -18,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "ml/kernels.hpp"
 #include "ml/param.hpp"
 
 namespace mpass::ml {
@@ -88,11 +89,12 @@ class ByteConvNet {
   /// Embedding row of a token (0..256).
   std::span<const float> embedding_row(int token) const;
 
-  /// out[v] = <g, embedding_row(v)> for the 256 byte tokens, each dot
-  /// summed in k order from 0.0f (g has embed_dim entries). Reads the
-  /// transposed embedding copy made by the last full forward, so call it
-  /// after a forward on the current weights (the optimizer's scan does).
-  void byte_dots(std::span<const float> g, std::span<float, 256> out) const;
+  /// The candidate-scan term <g, embedding_row((v + rot) & 255)> for the
+  /// 256 byte values v (g has embed_dim entries; see ml/kernels.hpp). It
+  /// reads the transposed embedding copy made by the last full forward, so
+  /// use it after a forward on the current weights (the optimizer's scan
+  /// does).
+  ScanTerm scan_term(const float* g, std::uint8_t rot) const;
 
   /// Applies the non-negativity constraint (no-op unless cfg.nonneg).
   void clamp_nonneg();
@@ -110,10 +112,11 @@ class ByteConvNet {
   /// Gathers the embedding rows of timestep p's window into win_. The
   /// embedded input is never materialized (it would be L x d floats).
   const float* embed_window(std::size_t p);
-  /// Conv + gating for one timestep (writes a_/b_/h_ rows). Shared by the
-  /// full and delta paths so recomputed rows are bitwise identical. Reads
-  /// the filter-major weight copies made by the last full forward.
-  void conv_row(std::size_t p);
+  /// Conv + gating for timesteps [p_lo, p_hi) (writes a_/b_/h_ rows).
+  /// Shared by the full and delta paths so recomputed rows are bitwise
+  /// identical. Reads the filter-major weight copies made by the last full
+  /// forward.
+  void conv_rows(std::size_t p_lo, std::size_t p_hi);
   /// Channel gating + global max pool + dense head, full recompute from
   /// h_ (identical code for both paths).
   void pool_and_head();
@@ -147,8 +150,10 @@ class ByteConvNet {
   Param* b2_;    // 1
 
   // Layout copies of the live weights, rebuilt by every full forward:
-  // wa_t_/wb_t_ are W*d x F (filter-major, so conv_row's vector lanes run
-  // over filters) and emb_t_ is d x 256 (byte_dots' lanes run over bytes).
+  // wa_t_/wb_t_ are W*d x F (filter-major, so the conv rows' vector lanes
+  // run over filters) and emb_t_ is d x 512 (the candidate scan's lanes run
+  // over bytes; each byte's column is stored at v and v + 256, so a read
+  // rotated by up to 255 never wraps).
   std::vector<float> wa_t_, wb_t_, emb_t_;
 
   // Forward caches.

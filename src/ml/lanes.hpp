@@ -1,9 +1,11 @@
-// The one vector type of the ML kernels: four float lanes (one SSE register
-// on x86-64). Lane-wise + and * are the scalar IEEE operations, so a lane
-// computes exactly what scalar code does. Kernels run lanes over
-// *independent outputs*, each lane keeping its output's scalar float order,
-// never over the terms of one sum (no horizontal adds); that is what keeps
-// them bit-identical to the scalar loops they replace.
+// The vector types of the ML kernels: N float lanes, N = 4 (one SSE
+// register on x86-64) or N = 8 (one AVX register, used only inside
+// functions compiled for AVX2; see ml/kernels.cpp). Lane-wise + and * are
+// the scalar IEEE operations, so a lane computes exactly what scalar code
+// does. Kernels run lanes over *independent outputs*, each lane keeping its
+// output's scalar float order, never over the terms of one sum (no
+// horizontal adds); that is what keeps them bit-identical to the scalar
+// loops they replace.
 #pragma once
 
 #include <cstring>
@@ -11,7 +13,18 @@
 
 namespace mpass::ml {
 
-using Lanes = float __attribute__((vector_size(16)));
+template <int N>
+struct LaneTypes {
+  typedef float f32 __attribute__((vector_size(N * sizeof(float))));
+  typedef int i32 __attribute__((vector_size(N * sizeof(int))));
+};
+/// N float lanes, and the N int lanes a comparison of two of them yields.
+template <int N>
+using LanesN = typename LaneTypes<N>::f32;
+template <int N>
+using IntLanesN = typename LaneTypes<N>::i32;
+
+using Lanes = LanesN<4>;
 constexpr int kLanes = 4;
 
 /// y[i] = sum_j a_t[j * stride + i] * x[j] for V * kLanes consecutive i:

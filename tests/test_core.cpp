@@ -78,9 +78,11 @@ TEST(Modification, PerturbablePositionsAreSortedUniqueInRange) {
     EXPECT_LT(mod.perturbable[i - 1], mod.perturbable[i]);
   EXPECT_LT(mod.perturbable.back(), mod.bytes.size());
   // Every key offset is inside the file and not itself perturbable-mapped.
-  for (const auto& [pos, key] : mod.key_of) {
+  ASSERT_EQ(mod.key_of.size(), mod.bytes.size());
+  for (const std::uint32_t key : mod.key_of) {
+    if (key == ModifiedSample::kNoKey) continue;
     EXPECT_LT(key, mod.bytes.size());
-    EXPECT_FALSE(mod.key_of.contains(key));
+    EXPECT_EQ(mod.key_of[key], ModifiedSample::kNoKey);
   }
 }
 

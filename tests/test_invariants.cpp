@@ -29,7 +29,9 @@ void check_recovery_algebra(const ByteBuf& original,
   modified.build_with_layout(&mod_layout);
 
   std::size_t checked = 0;
-  for (const auto& [pos, key_pos] : mod.key_of) {
+  for (std::uint32_t pos = 0; pos < mod.key_of.size(); ++pos) {
+    const std::uint32_t key_pos = mod.key_of[pos];
+    if (key_pos == ModifiedSample::kNoKey) continue;
     // Which original section byte does `pos` correspond to?
     const auto sec = mod_layout.section_of(pos);
     ASSERT_TRUE(sec.has_value());
@@ -134,7 +136,8 @@ TEST(Invariants, PerturbableNeverOverlapsKeysOrHeadersStructure) {
   // No perturbable position may be a key byte of another position: keys are
   // dependent variables, not free ones.
   std::unordered_set<std::uint32_t> keys;
-  for (const auto& [pos, key] : mod.key_of) keys.insert(key);
+  for (const std::uint32_t key : mod.key_of)
+    if (key != ModifiedSample::kNoKey) keys.insert(key);
   for (std::uint32_t p : mod.perturbable)
     EXPECT_FALSE(keys.contains(p)) << p;
   // The PE signature and section table structure must stay parseable after
@@ -168,7 +171,10 @@ TEST(Invariants, PushKeysBeyondMovesKeyBlockPastWindow) {
   const ModifiedSample mod =
       apply_modification(original, donor, cfg, rng);
   // Every key byte must sit at file offset >= 16384.
-  for (const auto& [pos, key] : mod.key_of) EXPECT_GE(key, 16384u);
+  for (const std::uint32_t key : mod.key_of) {
+    if (key == ModifiedSample::kNoKey) continue;
+    EXPECT_GE(key, 16384u);
+  }
 }
 
 }  // namespace

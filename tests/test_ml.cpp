@@ -215,6 +215,75 @@ TEST(ByteConv, ReadsOnlyTheFirstMaxLenBytes) {
   EXPECT_NE(net.forward(inside), base);
 }
 
+std::uint32_t float_bits(float f) {
+  std::uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+std::uint64_t floats_digest(std::span<const float> v) {
+  return util::fnv1a64({reinterpret_cast<const std::uint8_t*>(v.data()),
+                        v.size_bytes()});
+}
+
+// Bits recorded with the 4-lane kernels: forward's probability, the FNV
+// of backward's input gradient (attack mode, hard max pool and soft pool
+// tau = 0.5) and the FNV of every parameter gradient after one training
+// backward. Every kernel width must reproduce them. The configs are the
+// three target architectures (gated, channel-gated, non-negative) and the
+// zoo's surrogate shapes (d = 6 / F = 24, channel-gated F = 12, ungated
+// F = 20), with nonzero biases so the bias's place in each sum shows.
+TEST(ByteConv, ForwardBackwardMatchParentBits) {
+  ByteConvConfig sa = detect::malconv_config();
+  sa.embed_dim = 6; sa.filters = 24; sa.width = 24; sa.stride = 12;
+  ByteConvConfig sb = detect::malgcg_config();
+  sb.filters = 12; sb.width = 64; sb.stride = 32;
+  ByteConvConfig sc = detect::malconv_config();
+  sc.gated = false; sc.filters = 20; sc.width = 16; sc.stride = 8;
+  const struct {
+    ByteConvConfig cfg;
+    std::uint32_t prob;
+    std::uint64_t hard, soft, params;
+  } cases[] = {
+      {detect::malconv_config(), 0x3f3c2546u, 0x4cd33b3b570919efULL,
+       0xb2ed368e35b5d93fULL, 0x95e1331f3b5512c3ULL},
+      {detect::malgcg_config(), 0x3f0fab7du, 0xbb1beb5d1485564aULL,
+       0x20e03fb339d01ee3ULL, 0xbb714bc52adfaf5eULL},
+      {detect::nonneg_config(), 0x3f49fc54u, 0xb49e893348e5612fULL,
+       0xbca3b875353d23feULL, 0x65c2eb9f2b03d3e6ULL},
+      {sa, 0x3e8a7023u, 0xe39491395a065bafULL,
+       0xe3ea5d7273058575ULL, 0xf874bf82df55c65bULL},
+      {sb, 0x3f0825f9u, 0x07bcffb7971df663ULL,
+       0x64e6f65df4b654e8ULL, 0x4249ba4b51bdbb27ULL},
+      {sc, 0x3f18edceu, 0x6b330fdbbc8be9b6ULL,
+       0x4160b49b35378f9dULL, 0x2ab590ee17db3d02ULL},
+  };
+  std::uint64_t seed = 60;
+  for (const auto& c : cases) {
+    SCOPED_TRACE("F=" + std::to_string(c.cfg.filters) +
+                 " W=" + std::to_string(c.cfg.width));
+    ByteConvNet net(c.cfg, ++seed);
+    util::Rng rng(seed);
+    for (Param* p : net.params().all())
+      if (p->name[0] == 'b')
+        for (float& w : p->w) w = static_cast<float>(rng.gaussian(0.0, 0.5));
+    net.params().bump_version();
+    const ByteBuf input = rng.bytes(5000);
+    std::vector<float> grad;
+    EXPECT_EQ(float_bits(net.forward(input)), c.prob);
+    net.backward(0.0f, &grad, /*accumulate_params=*/false, 0.0f);
+    EXPECT_EQ(floats_digest(grad), c.hard);
+    net.backward(0.0f, &grad, /*accumulate_params=*/false, 0.5f);
+    EXPECT_EQ(floats_digest(grad), c.soft);
+    net.params().zero_grad();
+    net.backward(1.0f);
+    std::uint64_t params = 0;
+    for (const Param* p : net.params().all())
+      params = util::hash_combine(params, floats_digest(p->g));
+    EXPECT_EQ(params, c.params);
+  }
+}
+
 // ---- GBDT --------------------------------------------------------------------
 
 TEST(Gbdt, FitsAxisAlignedRule) {
@@ -377,12 +446,6 @@ void train_briefly(GruLm& lm) {
   for (int i = 0; i < 600; ++i)
     stream.push_back(i % 7 ? static_cast<std::uint8_t>(i % 5) : rng.byte());
   lm.train_epoch({stream, rng.bytes(300)}, 12, 5e-3f, rng);
-}
-
-std::uint32_t float_bits(float f) {
-  std::uint32_t u;
-  std::memcpy(&u, &f, sizeof(u));
-  return u;
 }
 
 // Digests of generate() output and of the Rng's next draw, recorded with
