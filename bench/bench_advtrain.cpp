@@ -40,12 +40,13 @@ int main() {
   // (b) Fine-tune a copy of MalConv on MPass's own AEs (50/50 mix).
   detect::ByteConvDetector mixed("MalConv-AEmix", detect::malconv_config(),
                                  zoo.config().seed + 1);
-  {  // clone the zoo MalConv weights
+  {  // copy the zoo MalConv weights only: the detector keeps its own name,
+     // which keys the per-sample result cache apart from MalConv's cells
     util::Archive ar;
-    dynamic_cast<const detect::ByteConvDetector&>(base).save(ar);
+    dynamic_cast<const detect::ByteConvDetector&>(base).net().save(ar);
     const util::ByteBuf blob = ar.take();
     util::Unarchive un(blob);
-    mixed.load(un);
+    mixed.net().load(un);
   }
   detect::AdvTrainConfig mix_cfg;
   mix_cfg.epochs = 1;

@@ -66,6 +66,18 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
       cfg_.optimize && !known_.empty() && !cfg_.random_content;
   std::unique_ptr<EnsembleOptimizer> opt;
   if (can_optimize) opt = std::make_unique<EnsembleOptimizer>(known_);
+  // Before each query: opt_steps_per_query steps, then more while the
+  // ensemble scores the sample above the query gate. Returns the last loss.
+  const auto optimize = [&](ModifiedSample& m) {
+    float loss = 0.0f;
+    for (int s = 0; s < cfg_.opt_steps_per_query; ++s)
+      trace_opt(loss = opt->step(m));
+    for (int s = 0; s < cfg_.max_gate_steps &&
+                    opt->ensemble_score(m.bytes) > cfg_.query_gate_score;
+         ++s)
+      trace_opt(loss = opt->step(m));
+    return loss;
+  };
 
   while (!oracle.exhausted()) {
     // (1) Initial perturbation from a random benign program + recovery.
@@ -99,18 +111,8 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
     // Burn-in optimization before spending the first query (paper workflow:
     // optimize on the ensemble, then query). Queries are the scarce
     // resource: keep optimizing until the ensemble consensus is benign
-    // enough or the local budget runs out. Both the gate's ensemble_score
-    // and each step's line search ride the nets' incremental forward: only
-    // the bytes the previous step touched get re-convolved, and the oracle
-    // query below diffs against the same cache (see ml/byteconv.hpp).
-    if (can_optimize) {
-      for (int s = 0; s < cfg_.opt_steps_per_query; ++s)
-        trace_opt(opt->step(mod));
-      for (int s = 0; s < cfg_.max_gate_steps &&
-                      opt->ensemble_score(mod.bytes) > cfg_.query_gate_score;
-           ++s)
-        trace_opt(opt->step(mod));
-    }
+    // enough or the local budget runs out.
+    if (can_optimize) optimize(mod);
 
     result.adversarial = mod.bytes;
     if (!oracle.query(mod.bytes)) {
@@ -141,17 +143,7 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
     float prev_loss = 1e30f;
     int stalls = 0;
     while (!oracle.exhausted() && donor_queries < cfg_.queries_per_donor) {
-      float loss = 0.0f;
-      for (int s = 0; s < cfg_.opt_steps_per_query; ++s) {
-        loss = opt->step(mod);
-        trace_opt(loss);
-      }
-      for (int s = 0; s < cfg_.max_gate_steps &&
-                      opt->ensemble_score(mod.bytes) > cfg_.query_gate_score;
-           ++s) {
-        loss = opt->step(mod);
-        trace_opt(loss);
-      }
+      const float loss = optimize(mod);
       if (!oracle.query(mod.bytes)) {
         result.success = true;
         result.adversarial = mod.bytes;

@@ -41,10 +41,10 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
   std::vector<std::size_t> consumed(m);
   float total_loss = 0.0f;
   for (std::size_t i = 0; i < m; ++i) {
-    // forward_auto: after the previous step's rollback the cache already
-    // matches the kept prefix, so this forward is a (often empty) delta;
-    // the activation caches it leaves behind are bitwise identical to a
-    // full forward's, which is what backward consumes.
+    // forward_auto: the previous step's re-score left the cache on the
+    // kept prefix, so this is a cache hit (a delta if the caller scored
+    // other bytes since); the activation caches it leaves behind are
+    // bitwise identical to a full forward's, which backward consumes.
     known_[i]->forward_auto(sample.bytes);
     total_loss += known_[i]->backward(/*target=*/0.0f, &grads[i],
                                       /*accumulate_params=*/false,
@@ -174,8 +174,6 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
       sample.set_byte(updates[applied].pos, updates[applied].value);
       ++applied;
     }
-    // The prefixes are nested, so each evaluation re-convolves only the
-    // windows touched by the updates applied since the previous one.
     const float loss = ensemble_loss(sample.bytes);
     if (loss < best_loss) {
       best_loss = loss;
@@ -204,8 +202,8 @@ float EnsembleOptimizer::step(ModifiedSample& sample) const {
   }
 #endif
 
-  // Re-sync the nets' caches with the kept prefix (served from the cache
-  // when nothing was rolled back). For a normal step this re-derives
+  // Re-sync the nets' caches with the kept prefix (a cache hit, or a delta
+  // over the rolled-back windows). For a normal step this re-derives
   // exactly the loss the line search measured -- a cheap end-to-end check
   // of the rollback and the incremental forward -- and for an exploratory
   // step it is the honest loss of the state actually kept (which may

@@ -31,8 +31,9 @@ class EnsembleOptimizer {
   ///
   /// The line search evaluates nested prefixes: each candidate differs
   /// from the previous one only in the updates applied in between, so
-  /// every evaluation (through the nets' forward_auto) re-convolves only
-  /// the windows those updates touched instead of running a full forward.
+  /// every evaluation (through the nets' forward_auto), and the re-score
+  /// after the rollback, re-convolves only the windows the changed bytes
+  /// touched: a step on warm caches runs no full forward.
   float step(ModifiedSample& sample) const;
 
   /// Mean ensemble probability of `bytes` being malicious.

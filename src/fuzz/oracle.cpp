@@ -330,6 +330,29 @@ std::optional<Violation> check_incremental_forward(
   if (inc.forward_auto(buf) != ref.forward(buf))
     return mismatch("restored base", inc.forward_auto(buf), ref.forward(buf));
 
+  // Scattered single-byte writes until more than half the consumed tokens
+  // differ (all of them below one window), scored as one many-range
+  // delta; then a random suffix of the writes is reverted, newest first,
+  // as the optimizer's rollback does, and scored again.
+  const std::size_t n = std::min(buf.size(), cfg.max_len);
+  const std::size_t n_tok = std::max<std::size_t>(n, cfg.width);
+  const ByteBuf before = buf;
+  std::vector<std::size_t> written;  // positions, oldest first
+  while (written.size() < std::min(n, n_tok / 2 + 1)) {
+    const std::size_t p = rng.below(n);
+    if (buf[p] != before[p]) continue;  // already written
+    buf[p] = static_cast<std::uint8_t>(buf[p] ^ (1 + rng.below(255)));
+    written.push_back(p);
+  }
+  if (inc.forward_auto(buf) != ref.forward(buf))
+    return mismatch("scattered writes", inc.forward_auto(buf),
+                    ref.forward(buf));
+  const std::size_t keep = rng.below(written.size() + 1);
+  for (; written.size() > keep; written.pop_back())
+    buf[written.back()] = before[written.back()];
+  if (inc.forward_auto(buf) != ref.forward(buf))
+    return mismatch("rollback", inc.forward_auto(buf), ref.forward(buf));
+
   return std::nullopt;
 }
 

@@ -79,9 +79,9 @@ std::optional<Violation> check_attack_preserves(
 
 /// Differential oracle for ByteConvNet's incremental forward: on
 /// a fresh small net (architecture variant chosen from `seed`), cumulative
-/// random window edits and independent edit/revert candidates scored
-/// through forward_auto must match a full-forward reference net
-/// bit-for-bit (exact float equality, no tolerance).
+/// window edits, edit/revert candidates, and scattered writes over half
+/// the tokens then a rollback of some, scored through forward_auto, must
+/// match a full-forward reference net bit-for-bit (exact float equality).
 std::optional<Violation> check_incremental_forward(
     std::span<const std::uint8_t> input, std::uint64_t seed);
 

@@ -208,11 +208,6 @@ float ByteConvNet::forward(std::span<const std::uint8_t> bytes) {
   return prob_;
 }
 
-bool ByteConvNet::cache_usable(std::size_t n, std::size_t n_tok) const {
-  return cache_valid_ && n == cache_n_ && n_tok == tokens_.size() &&
-         cache_version_ == params_.version();
-}
-
 float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
                                std::span<const ByteRange> ranges) {
   OBS_SCOPE("ml.forward_delta");
@@ -238,17 +233,11 @@ float ByteConvNet::apply_delta(std::span<const std::uint8_t> bytes,
     const std::size_t p_hi = std::min(T, (r.hi - 1) / S + 1);
     if (p_lo < p_hi) tranges.push_back({p_lo, p_hi});
   }
-  // forward_auto already coalesced byte ranges with gap <= W, so the
-  // timestep ranges are sorted; merge any residual overlap.
-  std::size_t w = 0;
-  for (std::size_t i = 1; i < tranges.size(); ++i) {
-    if (tranges[i].lo <= tranges[w].hi) {
-      tranges[w].hi = std::max(tranges[w].hi, tranges[i].hi);
-    } else {
-      tranges[++w] = tranges[i];
-    }
-  }
-  if (!tranges.empty()) tranges.resize(w + 1);
+  // forward_auto's byte ranges are more than W apart (coalesced with gap
+  // <= W), so no window overlaps two: the timestep ranges are disjoint.
+  for (std::size_t i = 1; i < tranges.size(); ++i)
+    assert(tranges[i - 1].hi <= tranges[i].lo &&
+           "timestep ranges must be sorted and disjoint");
 
   for (const ByteRange& tr : tranges) conv_rows(tr.lo, tr.hi);
 
@@ -324,26 +313,20 @@ float ByteConvNet::forward_auto(std::span<const std::uint8_t> bytes) {
   // child span are cache hits; the span's self time is the token diff.
   OBS_SCOPE("ml.forward_auto");
   const std::size_t n = std::min(bytes.size(), cfg_.max_len);
-  const std::size_t n_tok =
-      std::max<std::size_t>(n, static_cast<std::size_t>(cfg_.width));
-  if (!cache_usable(n, n_tok)) return forward(bytes);
+  if (!cache_valid_ || n != cache_n_ || cache_version_ != params_.version())
+    return forward(bytes);
 
-  // Diff the new buffer against the cached token stream. Positions in
-  // [n, n_tok) are padding and cannot differ (n matches the cache).
+  // Diff the new buffer against the cached token stream. Positions past n
+  // are padding and cannot differ (n matches the cache).
   std::vector<ByteRange> ranges;
   const std::size_t gap = cfg_.width;  // coalesce nearby edits
-  std::size_t dirty_bytes = 0;
   for (std::size_t t = 0; t < n; ++t) {
     if (tokens_[t] == static_cast<int>(bytes[t])) continue;
-    std::size_t end = t + 1;
     if (!ranges.empty() && t <= ranges.back().hi + gap) {
-      dirty_bytes += end - ranges.back().hi;
-      ranges.back().hi = end;
+      ranges.back().hi = t + 1;
     } else {
-      ranges.push_back({t, end});
-      ++dirty_bytes;
+      ranges.push_back({t, t + 1});
     }
-    if (dirty_bytes * 2 > n_tok) return forward(bytes);
   }
   if (ranges.empty()) return prob_;  // byte-identical to the cached input
   return apply_delta(bytes, ranges);

@@ -55,16 +55,17 @@ class ByteConvNet {
   /// conv forward is O(T * F * W * d). forward_auto diffs `bytes` against
   /// the cached tokens (an O(L) integer scan), re-convolves only the
   /// timesteps whose stride-S windows overlap a changed byte, and repairs
-  /// the global max pool incrementally, so the cost follows the edit size.
-  /// An unchanged buffer is served from the cache.
+  /// the global max pool incrementally, so the cost follows the edit size
+  /// and never exceeds a full forward's conv rows, however many bytes
+  /// changed. An unchanged buffer is served from the cache.
   ///
   /// The result is *exactly* forward(bytes): the same float operations in
   /// the same order on every recomputed value, so scores (and the
   /// activation cache, hence backward) are bit-for-bit identical --
   /// enforced by tests/test_byteconv_incremental.cpp and the fuzz oracle.
-  /// It runs a full forward when the cache is missing or stale (any
-  /// ParamSet version bump: Adam, load, clamp_nonneg), the consumed length
-  /// changed, or the changed bytes cover most of the buffer.
+  /// It runs a full forward only when the cache is missing (a fresh net or
+  /// clone), stale (any ParamSet version bump: Adam, load, clamp_nonneg),
+  /// or the consumed length changed.
   float forward_auto(std::span<const std::uint8_t> bytes);
 
   /// Backprop of BCE(prob, target) for the last forward() input.
@@ -133,7 +134,6 @@ class ByteConvNet {
   /// coalesced with gap <= width, with `bytes` the new buffer.
   float apply_delta(std::span<const std::uint8_t> bytes,
                     std::span<const ByteRange> ranges);
-  bool cache_usable(std::size_t n, std::size_t n_tok) const;
 
   ByteConvConfig cfg_;
   ParamSet params_;

@@ -1,9 +1,9 @@
 // Differential tests for ByteConvNet's incremental forward: forward_auto
 // must agree with the full forward() *bitwise* (EXPECT_EQ on floats, no
 // tolerance) -- window-straddling edits, truncation-boundary edits at
-// max_len, empty and no-op edits, the whole-buffer fallback, cache
-// invalidation on weight updates, and independent candidates against one
-// base. Span counts (ml.byteconv.forward, ml.forward_delta, and
+// max_len, empty and no-op edits, edits covering most or all of the
+// buffer, cache invalidation on weight updates, and independent candidates
+// against one base. Span counts (ml.byteconv.forward, ml.forward_delta, and
 // ml.forward_auto calls with neither child) confirm which path served each
 // call.
 #include <gtest/gtest.h>
@@ -176,20 +176,53 @@ TEST(ByteConvIncremental, EmptyAndNoopDeltas) {
   EXPECT_EQ(used.full, 1u);  // the reference forward on the edited buffer
 }
 
-TEST(ByteConvIncremental, WholeBufferDirtyFallsBackToFull) {
-  const ByteConvConfig cfg = small_config();
-  ByteConvNet inc(cfg, 5);
-  ByteConvNet ref(inc);
-  util::Rng rng(23);
-  ByteBuf buf = rng.bytes(800);
-  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
-  for (auto& x : buf) x = static_cast<std::uint8_t>(x + 1);
+TEST(ByteConvIncremental, LargeEditsServedByOneDelta) {
+  // However much of the buffer changes, a same-length re-score against a
+  // usable cache is one delta: it re-convolves at most every timestep,
+  // which is never more work than a full forward.
+  for (const ByteConvConfig& cfg : all_variants()) {
+    const std::size_t W = static_cast<std::size_t>(cfg.width);
+    const std::size_t S = static_cast<std::size_t>(cfg.stride);
+    ByteConvNet inc(cfg, 5);
+    ByteConvNet ref(inc);
+    util::Rng rng(23);
+    // (n - W) % S != 0, so the last few bytes lie past the last window.
+    const std::size_t n = 800 + S / 2;
+    ByteBuf buf = rng.bytes(n);
+    EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
 
-  const PathCounts before = PathCounts::now();
-  EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf));
-  const PathCounts used = PathCounts::now().since(before);
-  EXPECT_EQ(used.full, 2u);  // the fallback plus the reference
-  EXPECT_EQ(used.delta, 0u);
+    const auto expect_one_delta = [&](const char* what) {
+      const PathCounts before = PathCounts::now();
+      EXPECT_EQ(inc.forward_auto(buf), ref.forward(buf)) << what;
+      const PathCounts used = PathCounts::now().since(before);
+      EXPECT_EQ(used.full, 1u) << what;  // the reference only
+      EXPECT_LE(used.delta, 1u) << what;
+    };
+
+    // Every byte rewritten.
+    for (auto& x : buf) x = static_cast<std::uint8_t>(x + 1);
+    expect_one_delta("whole buffer");
+
+    // Scattered single-byte writes until more than half the tokens differ.
+    const ByteBuf before = buf;
+    for (std::size_t count = 0; 2 * count <= n; ++count) {
+      std::size_t p = rng.below(n);
+      while (buf[p] != before[p]) p = rng.below(n);  // already written
+      buf[p] = static_cast<std::uint8_t>(buf[p] ^ (1 + rng.below(255)));
+    }
+    expect_one_delta("scattered half");
+
+    // Single bytes more than W apart: many byte ranges whose timestep
+    // ranges abut.
+    for (std::size_t p = 3; p < n; p += W + 1) buf[p] ^= 0x5A;
+    expect_one_delta("spaced singles");
+
+    // Only bytes past the last window: nothing to re-convolve.
+    const std::size_t tail = (n - W) / S * S + W;
+    ASSERT_LT(tail, n);
+    for (std::size_t p = tail; p < n; ++p) buf[p] ^= 0xFF;
+    expect_one_delta("past the last window");
+  }
 }
 
 TEST(ByteConvIncremental, CumulativeChainedDeltas) {

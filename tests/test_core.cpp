@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string_view>
 
 #include "core/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/models.hpp"
 #include "detectors/training.hpp"
 #include "isa/isa.hpp"
+#include "obs/span.hpp"
 #include "util/hashing.hpp"
 #include "vm/sandbox.hpp"
 
@@ -351,6 +353,38 @@ TEST_F(TinyNetFixture, WhiteBoxAttackSucceeds) {
 
 TEST(Optimizer, RequiresNonEmptyEnsemble) {
   EXPECT_THROW(EnsembleOptimizer({}), std::invalid_argument);
+}
+
+/// Full forwards run so far: ml.byteconv.forward span counts summed over
+/// every call path.
+std::uint64_t full_forwards() {
+  std::uint64_t n = 0;
+  for (const obs::SpanRow& row : obs::span_snapshot()) {
+    const std::string_view path = row.path;
+    if (path == "ml.byteconv.forward" ||
+        path.ends_with("/ml.byteconv.forward"))
+      n += row.count;
+  }
+  return n;
+}
+
+TEST(Optimizer, WarmStepRunsNoFullForward) {
+  // The micro-benchmark's setup: three untrained MalConv-shaped nets and
+  // one modified sample. The first step pays one full forward per net (the
+  // caches are cold); after it every net's cache holds the kept prefix, so
+  // the second step's gradient forward, line search and kept-prefix
+  // re-score are all deltas or cache hits.
+  const ml::ByteConvConfig cfg = detect::malconv_config();
+  ml::ByteConvNet a(cfg, 21), b(cfg, 22), c(cfg, 23);
+  util::Rng rng(7);
+  ModifiedSample mod = apply_modification(
+      corpus::make_malware(0xBE9C).bytes(), corpus::make_benign(0xD0).bytes(),
+      ModificationConfig{}, rng);
+  const EnsembleOptimizer opt({&a, &b, &c});
+  opt.step(mod);
+  const std::uint64_t before = full_forwards();
+  opt.step(mod);
+  EXPECT_EQ(full_forwards() - before, 0u);
 }
 
 TEST(Mpass, RandomContentModeQueriesUntilBudget) {
