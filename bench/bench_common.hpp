@@ -1,5 +1,6 @@
 // Shared table-rendering helpers for the per-table bench binaries, plus the
-// machine-readable BENCH_<name>.json report every bench emits (BenchReport).
+// machine-readable BENCH_<name>.json report each of them emits
+// (BenchReport).
 #pragma once
 
 #include <algorithm>
@@ -88,9 +89,8 @@ inline void print_cell_timings(const std::vector<harness::CellStats>& cells) {
 /// the grids the bench computed, and on destruction it writes
 /// BENCH_<name>.json (schema v1: wall_ms, per-cell CellStats, merged span
 /// profile, build metadata) to $MPASS_BENCH_DIR (created if needed) or the
-/// working directory, then flushes any MPASS_PROFILE trace. The schema is
-/// documented in docs/OBSERVABILITY.md and consumed by tools/mpass_prof
-/// (collect / compare) and scripts/run_all_benches.sh.
+/// working directory. The schema is documented in docs/OBSERVABILITY.md;
+/// `mpass_prof top` / `tree` read its spans.
 class BenchReport {
  public:
   explicit BenchReport(std::string name)
@@ -195,8 +195,6 @@ class BenchReport {
     } else {
       std::fprintf(stderr, "[bench] cannot write %s\n", path.string().c_str());
     }
-
-    obs::flush_profile();
   }
 
  private:

@@ -3,8 +3,6 @@
 // byte generation, emulator throughput, LZSS, Shapley.
 #include <benchmark/benchmark.h>
 
-#include "bench_common.hpp"
-
 #include "core/modification.hpp"
 #include "core/optimizer.hpp"
 #include "corpus/generator.hpp"
@@ -12,6 +10,7 @@
 #include "detectors/models.hpp"
 #include "explain/shapley.hpp"
 #include "ml/gru.hpp"
+#include "ml/kernels.hpp"
 #include "pack/packer.hpp"
 #include "pe/pe.hpp"
 #include "util/compress.hpp"
@@ -227,15 +226,15 @@ BENCHMARK(BM_ThreadPoolFanout)->Arg(1)->Arg(4);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN() so the process also emits BENCH_micro.json
-// (and flushes any MPASS_PROFILE trace) after the benchmarks run.
+// BENCHMARK_MAIN() plus the kernel set in the run's context: timings taken
+// on the 8-lane and the 4-lane byte-net kernels are not comparable. The
+// micro record is google-benchmark's own JSON (--benchmark_out=<file>
+// --benchmark_out_format=json), which `mpass_prof compare` gates on.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  {
-    mpass::bench::BenchReport report("micro");
-    benchmark::RunSpecifiedBenchmarks();
-  }
+  benchmark::AddCustomContext("kernel_isa", mpass::ml::kernel_isa());
+  benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;
 }

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Runs every benchmark binary in a sensible order (cheap reports first, the
-# shared-grid tables together) and tees the combined output. Each bench also
-# writes a machine-readable BENCH_<name>.json (schema: docs/OBSERVABILITY.md)
-# into MPASS_BENCH_DIR; afterwards `mpass_prof collect` merges them into one
-# schema-versioned BENCH_SUMMARY.json, failing the script when any bench's
-# output is missing or unparsable.
+# shared-grid tables together) and tees the combined output. Each table bench
+# also writes a machine-readable BENCH_<name>.json (schema:
+# docs/OBSERVABILITY.md) into MPASS_BENCH_DIR, and bench_micro writes its
+# google-benchmark JSON record there as micro.json (the input of
+# `mpass_prof compare`).
 #
 # Usage: scripts/run_all_benches.sh [output-file]
 # Knobs: MPASS_N / MPASS_N_OFFLINE / MPASS_N_AV (samples per cell),
@@ -22,7 +22,6 @@
 set -euo pipefail
 OUT="${1:-bench_output.txt}"
 BENCH_DIR="$(dirname "$0")/../build/bench"
-TOOLS_DIR="$(dirname "$0")/../build/tools"
 N_OFFLINE="${MPASS_N_OFFLINE:-${MPASS_N:-40}}"
 N_AV="${MPASS_N_AV:-${MPASS_N:-25}}"
 MPASS_THREADS="${MPASS_THREADS:-$(nproc 2>/dev/null || echo 1)}"
@@ -30,14 +29,6 @@ export MPASS_THREADS
 MPASS_BENCH_DIR="${MPASS_BENCH_DIR:-bench_out}"
 export MPASS_BENCH_DIR
 mkdir -p "$MPASS_BENCH_DIR"
-
-# Every bench that must have produced a BENCH_<name>.json by the end; a
-# missing report fails the collect step (and the script) rather than being
-# silently dropped from the summary.
-EXPECT="detectors,pem_sections,table1_asr,table2_avq,table3_apr,functionality"
-EXPECT="$EXPECT,fig3_av_asr,table4_obfuscation,fig4_av_learning"
-EXPECT="$EXPECT,table5_other_sec,table6_random_data,advtrain"
-EXPECT="$EXPECT,ablation_ensemble,ablation_budget,micro"
 
 {
   echo "===== bench_detectors ====="
@@ -65,8 +56,6 @@ EXPECT="$EXPECT,ablation_ensemble,ablation_budget,micro"
     echo
   done
   echo "===== bench_micro ====="
-  "$BENCH_DIR/bench_micro"
-  echo
-  echo "===== collect ====="
-  "$TOOLS_DIR/mpass_prof" collect "$MPASS_BENCH_DIR" --expect "$EXPECT"
+  "$BENCH_DIR/bench_micro" --benchmark_out="$MPASS_BENCH_DIR/micro.json" \
+    --benchmark_out_format=json
 } 2>&1 | tee "$OUT"

@@ -6,23 +6,6 @@ namespace mpass::corpus {
 
 using vm::Api;
 
-bool is_malicious_behavior(Behavior b) {
-  switch (b) {
-    case Behavior::Persistence:
-    case Behavior::C2Beacon:
-    case Behavior::Ransomware:
-    case Behavior::Stealer:
-    case Behavior::Keylogger:
-    case Behavior::Dropper:
-    case Behavior::Injector:
-    case Behavior::Wiper:
-    case Behavior::OverlayLoader:
-      return true;
-    default:
-      return false;
-  }
-}
-
 std::vector<std::uint16_t> behavior_apis(Behavior b) {
   auto ids = [](std::initializer_list<Api> list) {
     std::vector<std::uint16_t> out;

@@ -34,9 +34,6 @@ enum class Behavior {
   Updater,        // benign autorun registration (gray-area APIs)
 };
 
-/// True for behaviors only malware exhibits.
-bool is_malicious_behavior(Behavior b);
-
 /// MVM API ids a behavior's generated code invokes.
 std::vector<std::uint16_t> behavior_apis(Behavior b);
 

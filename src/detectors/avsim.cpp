@@ -215,7 +215,6 @@ double CommercialAv::score(std::span<const std::uint8_t> bytes) const {
 }
 
 std::size_t CommercialAv::update(std::span<const ByteBuf> submissions) {
-  ++updates_;
   if (submissions.empty()) return 0;
   std::vector<ByteBuf> fresh = mine_signatures(
       submissions, benign_ref_, 12,

@@ -24,7 +24,6 @@ class SignatureDb {
   void add(util::ByteBuf pattern);
   std::size_t size() const { return patterns_.size(); }
   bool matches(std::span<const std::uint8_t> bytes) const;
-  const std::vector<util::ByteBuf>& patterns() const { return patterns_; }
 
   void save(util::Archive& ar) const;
   void load(util::Unarchive& ar);
@@ -71,8 +70,7 @@ class CommercialAv : public Detector {
   double score(std::span<const std::uint8_t> bytes) const override;
 
   /// Deep copy via the archive round-trip (model weights, signature DB,
-  /// benign whitelist, threshold). The clone starts a fresh
-  /// updates_applied() count -- it is a query target, not a learning AV.
+  /// benign whitelist, threshold).
   std::unique_ptr<Detector> clone() const override;
 
   /// Weekly learning update: mines new signatures shared across the
@@ -81,7 +79,6 @@ class CommercialAv : public Detector {
   std::size_t update(std::span<const util::ByteBuf> submissions);
 
   const SignatureDb& signatures() const { return sigs_; }
-  std::size_t updates_applied() const { return updates_; }
 
   void save(util::Archive& ar) const;
   void load(util::Unarchive& ar);
@@ -94,7 +91,6 @@ class CommercialAv : public Detector {
   std::unique_ptr<ByteConvDetector> net_;
   SignatureDb sigs_;
   std::vector<util::ByteBuf> benign_ref_;  // vendor benign corpus (whitelist)
-  std::size_t updates_ = 0;
 };
 
 }  // namespace mpass::detect

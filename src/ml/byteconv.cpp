@@ -5,6 +5,7 @@
 #include <cmath>
 #include "obs/span.hpp"
 #include "util/bytes.hpp"
+#include "util/rng.hpp"
 
 namespace mpass::ml {
 

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/rng.hpp"
+
 namespace mpass::ml {
 
 namespace {

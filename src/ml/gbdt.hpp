@@ -39,7 +39,6 @@ class Gbdt {
   /// Raw additive score (logit).
   float decision(std::span<const float> x) const;
 
-  std::size_t num_trees() const { return trees_.size(); }
   const GbdtConfig& config() const { return cfg_; }
 
   /// Split-count feature importance: how often each feature is used as a

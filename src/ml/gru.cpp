@@ -6,6 +6,7 @@
 
 #include "ml/lanes.hpp"
 #include "obs/span.hpp"
+#include "util/rng.hpp"
 
 namespace mpass::ml {
 

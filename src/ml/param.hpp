@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace mpass::ml {
@@ -29,9 +28,9 @@ struct Param {
 /// Registry of a model's parameters.
 ///
 /// The set carries a monotonically increasing *version*: every code path
-/// that mutates weights (Adam::step, load, init_gaussian, owners' manual
-/// clamps) bumps it, and consumers that cache activations keyed on the
-/// weights (ByteConvNet's incremental forward) compare versions to detect
+/// that mutates weights (Adam::step, load, owners' manual clamps) bumps
+/// it, and consumers that cache activations keyed on the weights
+/// (ByteConvNet's incremental forward) compare versions to detect
 /// staleness. Code that pokes `w` directly (numeric gradient checks) must
 /// call bump_version() afterwards -- or the owning net's caches go stale.
 class ParamSet {
@@ -61,20 +60,6 @@ class ParamSet {
 
   void zero_grad() {
     for (Param* p : params_) std::fill(p->g.begin(), p->g.end(), 0.0f);
-  }
-
-  std::size_t total_size() const {
-    std::size_t n = 0;
-    for (const Param* p : params_) n += p->size();
-    return n;
-  }
-
-  /// Gaussian init with per-param fan-in style scale.
-  void init_gaussian(util::Rng& rng, float scale) {
-    for (Param* p : params_)
-      for (float& w : p->w)
-        w = static_cast<float>(rng.gaussian(0.0, scale));
-    bump_version();
   }
 
   /// Weight-mutation counter (see class comment).

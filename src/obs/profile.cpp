@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 
 namespace mpass::obs {
 
 namespace {
+
+// A benchmark regresses when its current per-iteration time is more than
+// this multiple of its baseline time.
+constexpr double kMaxSlowdown = 2.0;
 
 double num_or(const Json* j, double fallback) {
   return j && j->is_number() ? j->number() : fallback;
@@ -48,39 +50,40 @@ std::size_t depth_of(std::string_view path) {
          1;
 }
 
-// ---- compare helpers --------------------------------------------------------
-
-// One comparable series: a bench's wall-ms or a span path's self-ms.
-struct Series {
-  std::string kind;
-  std::string name;
-  double ms = 0.0;
-};
-
-void collect_bench_series(std::string_view bench, const Json& doc,
-                          std::vector<Series>& out) {
-  if (const Json* wall = doc.get("wall_ms"); wall && wall->is_number())
-    out.push_back({"bench-wall", std::string(bench), wall->number()});
-  if (const auto rows = parse_spans(doc)) {
-    for (const SpanProfileRow& r : *rows)
-      out.push_back(
-          {"span-self", std::string(bench) + ":" + r.path, r.self_ms});
-  }
+// Nanoseconds per google-benchmark time_unit; 0 for an unknown unit.
+double ns_per_unit(std::string_view unit) {
+  if (unit == "ns") return 1.0;
+  if (unit == "us") return 1e3;
+  if (unit == "ms") return 1e6;
+  if (unit == "s") return 1e9;
+  return 0.0;
 }
 
-std::vector<Series> collect_series(const Json& doc) {
-  std::vector<Series> out;
-  if (const Json* benches = doc.get("benches"); benches &&
-                                                benches->is_object()) {
-    for (const auto& [name, bench] : benches->fields())
-      collect_bench_series(name, bench, out);
-    return out;
+// name -> per-iteration real time (ns) of a google-benchmark JSON record's
+// "iteration" rows; the fastest when a name repeats, errored rows skipped.
+std::optional<std::map<std::string, double>> benchmark_times(
+    const Json& doc) {
+  const Json* rows = doc.get("benchmarks");
+  if (!rows || !rows->is_array()) return std::nullopt;
+  std::map<std::string, double> times;
+  for (const Json& row : rows->items()) {
+    const Json* run_type = row.get("run_type");
+    if (!run_type || !run_type->is_string() ||
+        run_type->str() != "iteration")
+      continue;
+    if (const Json* err = row.get("error_occurred"); err && err->boolean())
+      continue;
+    const Json* name = row.get("name");
+    const Json* time = row.get("real_time");
+    const Json* unit = row.get("time_unit");
+    if (!name || !name->is_string() || !time || !time->is_number() ||
+        !unit || !unit->is_string() || ns_per_unit(unit->str()) == 0.0)
+      return std::nullopt;
+    const double ns = time->number() * ns_per_unit(unit->str());
+    const auto [it, fresh] = times.emplace(name->str(), ns);
+    if (!fresh) it->second = std::min(it->second, ns);
   }
-  std::string bench = "profile";
-  if (const Json* name = doc.get("bench"); name && name->is_string())
-    bench = name->str();
-  collect_bench_series(bench, doc, out);
-  return out;
+  return times;
 }
 
 }  // namespace
@@ -162,143 +165,50 @@ std::string render_span_tree(const std::vector<SpanProfileRow>& rows) {
   return out;
 }
 
-// ---- baseline comparison ----------------------------------------------------
+// ---- micro-benchmark gate ---------------------------------------------------
 
-ProfCompareResult compare_profiles(const Json& base, const Json& cur,
-                                   const ProfCompareOptions& opts) {
-  ProfCompareResult res;
-  // --only <bench> / --wall-only narrow the comparison (the CI micro gate
-  // enforces bench_micro wall-ms while the full-grid benches stay warn-only).
-  const auto selected = [&opts](const Series& s) {
-    if (opts.wall_only && s.kind != "bench-wall") return false;
-    if (opts.only_bench.empty()) return true;
-    if (s.kind == "bench-wall") return s.name == opts.only_bench;
-    return s.name.compare(0, opts.only_bench.size() + 1,
-                          opts.only_bench + ":") == 0;
-  };
-  std::map<std::string, Series> base_by_name, cur_by_name;
-  for (Series& s : collect_series(base))
-    if (selected(s)) base_by_name.emplace(s.kind + "|" + s.name, std::move(s));
-  for (Series& s : collect_series(cur))
-    if (selected(s)) cur_by_name.emplace(s.kind + "|" + s.name, std::move(s));
-
-  for (const auto& [key, b] : base_by_name) {
-    const auto it = cur_by_name.find(key);
-    if (it == cur_by_name.end()) {
-      if (b.ms >= opts.min_ms)
-        res.notes.push_back("series only in baseline: " + b.name);
-      continue;
-    }
-    const Series& c = it->second;
-    if (std::max(b.ms, c.ms) < opts.min_ms) continue;
-    ++res.compared;
-    const double ratio = b.ms > 0.0 ? c.ms / b.ms
-                                    : (c.ms > 0.0 ? 1e9 : 1.0);
-    ProfDelta d{b.kind, b.name, b.ms, c.ms, ratio};
-    if (c.ms > b.ms * (1.0 + opts.threshold))
-      res.regressions.push_back(std::move(d));
-    else if (c.ms < b.ms * (1.0 - opts.threshold))
-      res.improvements.push_back(std::move(d));
-  }
-  for (const auto& [key, c] : cur_by_name)
-    if (!base_by_name.count(key) && c.ms >= opts.min_ms)
-      res.notes.push_back("series only in current: " + c.name);
-
-  const auto by_ratio = [](const ProfDelta& a, const ProfDelta& b) {
-    return a.ratio > b.ratio;
-  };
-  std::sort(res.regressions.begin(), res.regressions.end(), by_ratio);
-  std::sort(res.improvements.begin(), res.improvements.end(),
-            [](const ProfDelta& a, const ProfDelta& b) {
-              return a.ratio < b.ratio;
-            });
-  return res;
+bool ProfCompareResult::ok() const {
+  return missing.empty() &&
+         std::none_of(deltas.begin(), deltas.end(), [](const ProfDelta& d) {
+           return d.ratio > kMaxSlowdown;
+         });
 }
 
-std::string render_compare(const ProfCompareResult& r,
-                           const ProfCompareOptions& opts) {
+std::optional<ProfCompareResult> compare_profiles(const Json& base,
+                                                  const Json& cur) {
+  const auto base_ns = benchmark_times(base);
+  const auto cur_ns = benchmark_times(cur);
+  if (!base_ns || base_ns->empty() || !cur_ns) return std::nullopt;
+  ProfCompareResult r;
+  for (const auto& [name, b] : *base_ns) {
+    const auto it = cur_ns->find(name);
+    if (it == cur_ns->end())
+      r.missing.push_back(name);
+    else
+      r.deltas.push_back({name, b, it->second, it->second / b});
+  }
+  return r;
+}
+
+std::string render_compare(const ProfCompareResult& r) {
   std::string out;
   char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "compared %zu series (threshold +%.0f%%, min %.1f ms)\n",
-                r.compared, opts.threshold * 100.0, opts.min_ms);
+  std::snprintf(buf, sizeof(buf), "  %-36s %14s %14s %8s\n", "benchmark",
+                "base-us", "cur-us", "ratio");
   out += buf;
-  for (const ProfDelta& d : r.regressions) {
-    std::snprintf(buf, sizeof(buf),
-                  "REGRESSION  %-10s %-56s %10.2f -> %10.2f ms  (x%.2f)\n",
-                  d.kind.c_str(), d.name.c_str(), d.base_ms, d.cur_ms,
-                  d.ratio);
+  for (const ProfDelta& d : r.deltas) {
+    std::snprintf(buf, sizeof(buf), "  %-36s %14.3f %14.3f %7.2fx%s\n",
+                  d.name.c_str(), d.base_ns / 1e3, d.cur_ns / 1e3, d.ratio,
+                  d.ratio > kMaxSlowdown ? "  REGRESSION" : "");
     out += buf;
   }
-  for (const ProfDelta& d : r.improvements) {
-    std::snprintf(buf, sizeof(buf),
-                  "improved    %-10s %-56s %10.2f -> %10.2f ms  (x%.2f)\n",
-                  d.kind.c_str(), d.name.c_str(), d.base_ms, d.cur_ms,
-                  d.ratio);
-    out += buf;
-  }
-  for (const std::string& n : r.notes) out += "note: " + n + "\n";
-  out += r.ok() ? "PASS\n" : "FAIL\n";
-  return out;
-}
-
-// ---- bench-output collection ------------------------------------------------
-
-std::optional<std::string> collect_bench_dir(
-    const std::filesystem::path& dir,
-    const std::vector<std::string>& expected, std::string* error) {
-  const auto fail = [&](std::string msg) -> std::optional<std::string> {
-    if (error) *error = std::move(msg);
-    return std::nullopt;
-  };
-  std::error_code ec;
-  if (!std::filesystem::is_directory(dir, ec))
-    return fail("not a directory: " + dir.string());
-
-  // name -> raw (validated) document text. Map gives a deterministic order.
-  std::map<std::string, std::string> benches;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string fname = entry.path().filename().string();
-    if (fname.rfind("BENCH_", 0) != 0 || entry.path().extension() != ".json")
-      continue;
-    if (fname == "BENCH_SUMMARY.json") continue;
-    std::ifstream in(entry.path(), std::ios::binary);
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    const std::string text = ss.str();
-    if (!in.good() && !in.eof())
-      return fail("cannot read " + entry.path().string());
-    const auto doc = Json::parse(text);
-    if (!doc || !doc->is_object())
-      return fail("unparsable bench output: " + entry.path().string());
-    const Json* name = doc->get("bench");
-    const Json* version = doc->get("schema_version");
-    if (!name || !name->is_string() || !version || !version->is_number() ||
-        !doc->get("wall_ms") || !parse_spans(*doc))
-      return fail("bench output missing required fields "
-                  "(schema_version/bench/wall_ms/spans): " +
-                  entry.path().string());
-    benches[name->str()] = text;
-  }
-  if (ec) return fail("cannot list " + dir.string());
-
-  for (const std::string& name : expected)
-    if (!benches.count(name))
-      return fail("missing bench output: BENCH_" + name + ".json (" +
-                  dir.string() + ")");
-  if (benches.empty()) return fail("no BENCH_*.json in " + dir.string());
-
-  std::string out = "{\"schema_version\":1,\"benches\":{";
-  bool first = true;
-  for (const auto& [name, text] : benches) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    json_escape(out, name);
-    out += "\":";
-    out += text;
-  }
-  out += "}}";
+  for (const std::string& name : r.missing)
+    out += "  " + name + ": MISSING from the current run\n";
+  std::snprintf(buf, sizeof(buf),
+                "%s (a benchmark fails above %.1fx its baseline or when "
+                "missing)\n",
+                r.ok() ? "PASS" : "FAIL", kMaxSlowdown);
+  out += buf;
   return out;
 }
 

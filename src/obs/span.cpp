@@ -180,8 +180,26 @@ struct SpanCore {
   }
 };
 
+// Registers flush_profile() to run at process exit, once, when profiling
+// turns on. Only called once the core is fully constructed: atexit hooks
+// registered after a static's construction run before its destructor, so
+// the flush still sees the core. It merges live and retired shards, so it
+// sees every thread's events whether or not the pool was torn down first.
+void ensure_exit_flush() {
+  static const bool registered = [] {
+    std::atexit([] { flush_profile(); });
+    return true;
+  }();
+  (void)registered;
+}
+
 std::shared_ptr<SpanCore>& core_ref() {
   static std::shared_ptr<SpanCore> core = std::make_shared<SpanCore>();
+  static const bool env_profile = [] {  // MPASS_PROFILE set at startup
+    if (profiling()) ensure_exit_flush();
+    return true;
+  }();
+  (void)env_profile;
   return core;
 }
 
@@ -414,20 +432,10 @@ void set_profile_path(std::optional<std::filesystem::path> path) {
     core->profile_path = std::move(*path);
     g_profiling.store(true, std::memory_order_relaxed);
   }
+  if (profiling()) ensure_exit_flush();
 }
 
 namespace {
-
-// One-shot exit hook: the first flush (explicit or at exit) registers
-// nothing further; atexit runs before static destructors, so the shared
-// ThreadPool's workers are still alive and their shards still merged.
-void ensure_exit_flush() {
-  static const bool registered = [] {
-    std::atexit([] { flush_profile(); });
-    return true;
-  }();
-  (void)registered;
-}
 
 void append_chrome_event(std::string& out, bool& first,
                          const ProfileEvent& ev, const SpanCore& c,
@@ -472,7 +480,6 @@ void append_chrome_event(std::string& out, bool& first,
 void flush_profile() {
   const std::shared_ptr<SpanCore> core = core_ref();
   if (!g_profiling.load(std::memory_order_relaxed)) return;
-  ensure_exit_flush();
 
   SpanCore& c = *core;
   std::lock_guard<std::mutex> lk(c.mu);

@@ -187,12 +187,6 @@ std::uint32_t PeFile::next_free_rva() const {
 
 std::uint32_t PeFile::size_of_image() const { return next_free_rva(); }
 
-std::size_t PeFile::total_section_bytes() const {
-  std::size_t total = 0;
-  for (const Section& s : sections) total += s.data.size();
-  return total;
-}
-
 std::optional<std::size_t> PeFile::find_section(std::string_view name) const {
   for (std::size_t i = 0; i < sections.size(); ++i)
     if (sections[i].name == name) return i;

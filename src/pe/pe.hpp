@@ -129,9 +129,6 @@ class PeFile {
   /// SizeOfImage as the builder will compute it.
   std::uint32_t size_of_image() const;
 
-  /// Sum of raw section data sizes (unaligned).
-  std::size_t total_section_bytes() const;
-
   // ---- edits ---------------------------------------------------------------
 
   /// Appends a new section at the next free RVA; returns its index.

@@ -25,20 +25,6 @@ double shannon_entropy(std::span<const std::uint8_t> data) {
   return h;
 }
 
-std::vector<double> windowed_entropy(std::span<const std::uint8_t> data,
-                                     std::size_t window) {
-  std::vector<double> out;
-  if (window == 0) return out;
-  std::size_t pos = 0;
-  while (pos < data.size()) {
-    const std::size_t len = std::min(window, data.size() - pos);
-    if (len < window / 2 && pos != 0) break;  // drop tiny trailing windows
-    out.push_back(shannon_entropy(data.subspan(pos, len)));
-    pos += len;
-  }
-  return out;
-}
-
 std::vector<float> byte_entropy_histogram(std::span<const std::uint8_t> data,
                                           std::size_t window) {
   std::vector<float> hist(256, 0.0f);

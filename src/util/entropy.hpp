@@ -16,11 +16,6 @@ std::array<std::uint32_t, 256> byte_histogram(std::span<const std::uint8_t> data
 /// Empty input has entropy 0.
 double shannon_entropy(std::span<const std::uint8_t> data);
 
-/// Entropy of each fixed-size window (last partial window included if at
-/// least window/2 bytes). Used for section-level entropy profiles.
-std::vector<double> windowed_entropy(std::span<const std::uint8_t> data,
-                                     std::size_t window);
-
 /// EMBER-style 2D byte-entropy histogram, flattened to 16x16 = 256 bins:
 /// for each window, bin by (entropy quantized to 16, mean nibble value
 /// quantized to 16), normalized to sum to 1 (all zeros on empty input).

@@ -45,10 +45,6 @@ double Confusion::fpr() const {
   return (fp + tn) == 0 ? 0.0 : static_cast<double>(fp) / (fp + tn);
 }
 
-double Confusion::precision() const {
-  return (tp + fp) == 0 ? 0.0 : static_cast<double>(tp) / (tp + fp);
-}
-
 Confusion confusion_at(std::span<const double> scores,
                        std::span<const int> labels, double threshold) {
   Confusion c;

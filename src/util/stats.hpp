@@ -18,7 +18,6 @@ struct Confusion {
   double accuracy() const;
   double tpr() const;  // recall / detection rate
   double fpr() const;
-  double precision() const;
 };
 
 /// Builds a confusion matrix from scores (higher = positive) and labels.

@@ -55,12 +55,6 @@ std::string_view api_name(std::uint16_t api) {
   return "Api_unknown";
 }
 
-bool api_exists(std::uint16_t api) {
-  for (const auto& a : kApis)
-    if (a.id == api) return true;
-  return false;
-}
-
 std::span<const std::uint16_t> all_apis() { return kAllIds; }
 std::span<const std::uint16_t> sensitive_apis() { return kSensitive; }
 std::span<const std::uint16_t> benign_apis() { return kBenign; }

@@ -84,9 +84,6 @@ constexpr bool is_hard_malicious(Api api) {
 /// Canonical API name ("RegSetAutorun", ...); "Api_<hex>" for unknown ids.
 std::string_view api_name(std::uint16_t api);
 
-/// True if the id is a defined Api.
-bool api_exists(std::uint16_t api);
-
 /// All defined API ids (benign then sensitive).
 std::span<const std::uint16_t> all_apis();
 

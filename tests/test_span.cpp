@@ -3,7 +3,7 @@
 // call-path nesting and exact self-time accounting, invisibility of open
 // spans, cross-thread propagation through util::ThreadPool under
 // contention, Chrome trace-event JSON validity of the MPASS_PROFILE sink,
-// and the compare/collect plumbing the CI perf gate runs on.
+// and the per-benchmark compare the CI perf gate runs on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -350,57 +350,85 @@ const char* kBenchA =
         {"path":"a","count":10,"total_ms":90.0,"self_ms":40.0,"child_ms":50.0},
         {"path":"a/b","count":10,"total_ms":50.0,"self_ms":50.0,"child_ms":0}]})";
 
+// A google-benchmark JSON record (--benchmark_out_format=json), cut down to
+// the fields the gate reads.
+Json gbench(const std::string& rows) {
+  return parse_or_die(R"({"context":{"kernel_isa":"avx2"},"benchmarks":[)" +
+                      rows + "]}");
+}
+
+std::string row(const char* name, double time, const char* unit,
+                const char* run_type = "iteration") {
+  return std::string(R"({"name":")") + name + R"(","run_type":")" +
+         run_type + R"(","real_time":)" + std::to_string(time) +
+         R"(,"cpu_time":1,"time_unit":")" + unit + "\"}";
+}
+
 TEST(Profile, CompareIdenticalPasses) {
-  const Json doc = parse_or_die(kBenchA);
-  const ProfCompareResult r = compare_profiles(doc, doc, {});
-  EXPECT_TRUE(r.ok());
-  EXPECT_EQ(r.regressions.size(), 0u);
-  EXPECT_GE(r.compared, 3u);  // wall + two span paths
+  const Json doc =
+      gbench(row("BM_A", 100.0, "ns") + "," + row("BM_B", 2.0, "ms"));
+  const auto r = compare_profiles(doc, doc);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(r->ok());
+  ASSERT_EQ(r->deltas.size(), 2u);
+  EXPECT_EQ(r->deltas[0].ratio, 1.0);
+  EXPECT_TRUE(r->missing.empty());
+  EXPECT_NE(render_compare(*r).find("PASS"), std::string::npos);
 }
 
 TEST(Profile, CompareDetectsRegressionAboveThreshold) {
-  const Json base = parse_or_die(kBenchA);
-  const Json cur = parse_or_die(
-      R"({"schema_version":1,"bench":"alpha","wall_ms":150.0,"spans":[
-          {"path":"a","count":10,"total_ms":140.0,"self_ms":40.0,"child_ms":100.0},
-          {"path":"a/b","count":10,"total_ms":100.0,"self_ms":100.0,"child_ms":0}]})");
-  ProfCompareOptions opts;
-  opts.threshold = 0.20;
-  const ProfCompareResult r = compare_profiles(base, cur, opts);
-  EXPECT_FALSE(r.ok());
-  ASSERT_EQ(r.regressions.size(), 2u);  // wall 1.5x and a/b self 2.0x
-  EXPECT_EQ(r.regressions[0].ratio, 2.0);  // sorted worst-first
-  EXPECT_EQ(r.regressions[0].kind, "span-self");
-  EXPECT_EQ(r.regressions[1].kind, "bench-wall");
-  // "a" self stayed at 40 -> not a regression.
-  const std::string rendered = render_compare(r, opts);
+  const Json base =
+      gbench(row("BM_A", 100.0, "ns") + "," + row("BM_B", 2.0, "ms"));
+  // 1.9x on A passes; B is the same time in another unit; aggregate rows
+  // are not iterations and a repeated name counts at its fastest.
+  const Json slower = gbench(
+      row("BM_A", 190.0, "ns") + "," + row("BM_A", 300.0, "ns") + "," +
+      row("BM_A_mean", 9000.0, "ns", "aggregate") + "," +
+      row("BM_B", 2000.0, "us"));
+  const auto ok = compare_profiles(base, slower);
+  ASSERT_TRUE(ok.has_value());
+  EXPECT_TRUE(ok->ok()) << render_compare(*ok);
+  EXPECT_DOUBLE_EQ(ok->deltas[0].ratio, 1.9);
+  EXPECT_DOUBLE_EQ(ok->deltas[1].ratio, 1.0);
+
+  const Json regressed =
+      gbench(row("BM_A", 250.0, "ns") + "," + row("BM_B", 2.0, "ms"));
+  const auto bad = compare_profiles(base, regressed);
+  ASSERT_TRUE(bad.has_value());
+  EXPECT_FALSE(bad->ok());
+  const std::string rendered = render_compare(*bad);
   EXPECT_NE(rendered.find("REGRESSION"), std::string::npos);
   EXPECT_NE(rendered.find("FAIL"), std::string::npos);
 }
 
-TEST(Profile, CompareIgnoresSeriesBelowMinMs) {
-  const Json base = parse_or_die(
-      R"({"bench":"b","wall_ms":2.0,"spans":[
-          {"path":"x","count":1,"total_ms":2.0,"self_ms":2.0}]})");
-  const Json cur = parse_or_die(
-      R"({"bench":"b","wall_ms":9.0,"spans":[
-          {"path":"x","count":1,"total_ms":9.0,"self_ms":9.0}]})");
-  ProfCompareOptions opts;
-  opts.min_ms = 10.0;
-  const ProfCompareResult r = compare_profiles(base, cur, opts);
-  EXPECT_TRUE(r.ok()) << "sub-min_ms jitter must not fail the gate";
-  EXPECT_EQ(r.compared, 0u);
+TEST(Profile, CompareFailsOnMissingBenchmark) {
+  const Json base =
+      gbench(row("BM_A", 100.0, "ns") + "," + row("BM_B", 2.0, "ms"));
+  const auto r = compare_profiles(base, gbench(row("BM_A", 100.0, "ns")));
+  ASSERT_TRUE(r.has_value());
+  EXPECT_FALSE(r->ok());
+  EXPECT_EQ(r->missing, std::vector<std::string>{"BM_B"});
+  EXPECT_NE(render_compare(*r).find("BM_B"), std::string::npos);
+
+  // A benchmark that errored in the current run is missing too.
+  const Json errored = gbench(
+      row("BM_A", 100.0, "ns") + "," +
+      R"({"name":"BM_B","run_type":"iteration","error_occurred":true,)"
+      R"("error_message":"boom"})");
+  const auto e = compare_profiles(base, errored);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->missing, std::vector<std::string>{"BM_B"});
 }
 
-TEST(Profile, CompareHandlesSummaryDocuments) {
-  const std::string summary_base =
-      std::string(R"({"schema_version":1,"benches":{"alpha":)") + kBenchA +
-      "}}";
-  const Json base = parse_or_die(summary_base);
-  const Json cur = parse_or_die(kBenchA);  // single-bench doc, same data
-  const ProfCompareResult r = compare_profiles(base, cur, {});
-  EXPECT_TRUE(r.ok());
-  EXPECT_GE(r.compared, 3u);
+TEST(Profile, CompareRejectsNonBenchmarkDocuments) {
+  const Json base = gbench(row("BM_A", 100.0, "ns"));
+  EXPECT_FALSE(compare_profiles(base, parse_or_die(kBenchA)).has_value());
+  EXPECT_FALSE(compare_profiles(parse_or_die(kBenchA), base).has_value());
+  // A baseline that times nothing would gate nothing.
+  EXPECT_FALSE(compare_profiles(gbench(""), base).has_value());
+  EXPECT_FALSE(
+      compare_profiles(base, gbench(row("BM_A", 1.0, "fortnights")))
+          .has_value());
 }
 
 TEST(Profile, ParseSpansAcceptsAllThreeShapes) {
@@ -420,39 +448,6 @@ TEST(Profile, RenderersProduceOutput) {
   EXPECT_NE(render_span_top(*rows).find("a/b"), std::string::npos);
   const std::string tree = render_span_tree(*rows);
   EXPECT_NE(tree.find("b"), std::string::npos);
-}
-
-TEST(Profile, CollectBenchDirMergesAndValidates) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mpass_test_benchdir";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  const auto write = [&](const char* name, const std::string& text) {
-    std::ofstream(dir / name, std::ios::binary) << text;
-  };
-  write("BENCH_alpha.json", kBenchA);
-  write("BENCH_beta.json",
-        R"({"schema_version":1,"bench":"beta","wall_ms":5.0,"spans":[]})");
-  write("not_a_bench.txt", "ignored");
-
-  std::string error;
-  const auto summary =
-      collect_bench_dir(dir, {"alpha", "beta"}, &error);
-  ASSERT_TRUE(summary.has_value()) << error;
-  const Json doc = parse_or_die(*summary);
-  ASSERT_TRUE(doc.get("benches"));
-  EXPECT_EQ(doc.get("benches")->fields().size(), 2u);
-  EXPECT_TRUE(doc.get("benches")->get("alpha"));
-  EXPECT_TRUE(doc.get("benches")->get("beta"));
-
-  // A missing expected bench is an error, never silently skipped.
-  EXPECT_FALSE(collect_bench_dir(dir, {"alpha", "gamma"}, &error));
-  EXPECT_NE(error.find("gamma"), std::string::npos);
-
-  // An unparsable bench file fails the whole collection.
-  write("BENCH_broken.json", "{nope");
-  EXPECT_FALSE(collect_bench_dir(dir, {}, &error));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
