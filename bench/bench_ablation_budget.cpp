@@ -2,7 +2,7 @@
 // (the paper fixes 100 queries for all attacks; this shows where MPass's
 // successes actually land -- mostly in the first few queries).
 #include "bench_common.hpp"
-#include "attack/mpass_attack.hpp"
+#include "attack/mpass.hpp"
 
 int main() {
   using namespace mpass;
@@ -19,9 +19,8 @@ int main() {
   for (std::size_t budget : {1ul, 5ul, 20ul, 100ul}) {
     harness::ExperimentConfig c = cfg;
     c.max_queries = budget;
-    attack::MpassAttack atk("MPass", attack::MpassAttack::default_config(),
-                            zoo.benign_pool(),
-                            zoo.known_nets_excluding("MalGCG"));
+    attack::Mpass atk("MPass", {}, zoo.benign_pool(),
+                      zoo.known_nets_excluding("MalGCG"));
     const harness::CellStats stats =
         harness::run_cell(atk, target, samples, samples, c);
     report.add_cells({stats});

@@ -1,13 +1,16 @@
 // Attacking a commercial ML AV simulator (paper §IV-B) and watching it
-// *learn* (§IV-C): run MPass and a baseline against AV1, then feed the
+// *learn* (§IV-C): run MPass (attack::Mpass) and a baseline (attack::Mab)
+// against AV1 through the common attack::Attack interface, then feed the
 // successful AEs back through the vendor's weekly signature-mining update
-// and re-scan -- the baseline's AEs get caught, MPass's survive.
+// and re-scan -- the baseline's AEs get caught, MPass's survive. MPass's
+// known ensemble is every byte net of the zoo, copied into the attack: a
+// commercial AV never leaks its models, so none is excluded.
 //
 // Build & run:  ./build/examples/attack_commercial_av
 #include <cstdio>
 
 #include "attack/mab.hpp"
-#include "attack/mpass_attack.hpp"
+#include "attack/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
 #include "vm/sandbox.hpp"
@@ -20,9 +23,8 @@ int main() {
               std::string(av.name()).c_str(), av.signatures().size(),
               av.threshold());
 
-  attack::MpassAttack mpass("MPass", attack::MpassAttack::default_config(),
-                            zoo.benign_pool(),
-                            zoo.known_nets_excluding("none"));
+  attack::Mpass mpass("MPass", {}, zoo.benign_pool(),
+                      zoo.known_nets_excluding("none"));
   attack::Mab mab({}, zoo.benign_pool());
 
   std::vector<util::ByteBuf> mpass_aes, mab_aes;

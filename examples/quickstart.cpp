@@ -3,15 +3,15 @@
 //  1. Generate a synthetic malware PE and confirm its behavior in the
 //     sandbox (the Cuckoo substitute).
 //  2. Load the trained detector zoo (cached after the first run).
-//  3. Attack the MalConv detector through the hard-label oracle.
+//  3. Attack the MalConv detector through the hard-label oracle with
+//     attack::Mpass, the same attack::Attack the experiment harness runs.
 //  4. Verify the adversarial example bypasses the detector AND still shows
 //     the identical malicious behavior trace.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
 
-#include "attack/attack.hpp"
-#include "core/mpass.hpp"
+#include "attack/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
 #include "vm/sandbox.hpp"
@@ -39,11 +39,12 @@ int main() {
               target.threshold(),
               target.is_malicious(original) ? "DETECTED" : "missed");
 
-  // 3. MPass with the remaining differentiable models as the known ensemble.
-  core::Mpass attack({}, zoo.benign_pool(),
-                     zoo.known_nets_excluding(target.name()));
+  // 3. MPass with the remaining differentiable models as the known ensemble
+  //    (the attack copies them).
+  attack::Mpass attack("MPass", {}, zoo.benign_pool(),
+                       zoo.known_nets_excluding(target.name()));
   detect::HardLabelOracle oracle(target, /*max_queries=*/100);
-  const core::MpassResult result = attack.run(original, oracle, /*seed=*/7);
+  const attack::AttackResult result = attack.run(original, oracle, /*seed=*/7);
   const double apr = attack::apr_of(original.size(), result.adversarial.size());
   std::printf("attack: success=%d queries=%zu APR=%.0f%%\n", result.success,
               oracle.queries(), 100.0 * apr);

@@ -1,5 +1,6 @@
 #include "attack/gamma.hpp"
 
+#include "obs/span.hpp"
 #include "pe/pe.hpp"
 
 namespace mpass::attack {
@@ -44,6 +45,7 @@ ByteBuf Gamma::express(const pe::PeFile& base, const Genome& g) const {
 
 AttackResult Gamma::run(std::span<const std::uint8_t> malware,
                         detect::HardLabelOracle& oracle, std::uint64_t seed) {
+  OBS_SCOPE("attack.gamma.run");
   util::Rng rng(seed);
   AttackResult result;
   result.adversarial.assign(malware.begin(), malware.end());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 
 namespace mpass::attack {
@@ -34,6 +35,7 @@ std::size_t Mab::sample_arm(util::Rng& rng) {
 
 AttackResult Mab::run(std::span<const std::uint8_t> malware,
                       detect::HardLabelOracle& oracle, std::uint64_t seed) {
+  OBS_SCOPE("attack.mab.run");
   util::Rng rng(seed);
   AttackResult result;
   result.adversarial.assign(malware.begin(), malware.end());

@@ -1,5 +1,6 @@
 #include "attack/malrnn.hpp"
 
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "pe/pe.hpp"
 
@@ -10,6 +11,7 @@ using util::ByteBuf;
 AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
                          detect::HardLabelOracle& oracle,
                          std::uint64_t seed) {
+  OBS_SCOPE("attack.malrnn.run");
   util::Rng rng(seed);
   AttackResult result;
   result.adversarial.assign(malware.begin(), malware.end());

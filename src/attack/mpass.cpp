@@ -1,17 +1,21 @@
-#include "core/mpass.hpp"
+#include "attack/mpass.hpp"
 
+#include "core/optimizer.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 
-namespace mpass::core {
+namespace mpass::attack {
+
+using core::ModifiedSample;
+using util::ByteBuf;
 
 namespace {
 
-const char* target_mode_name(TargetMode m) {
+const char* target_mode_name(core::TargetMode m) {
   switch (m) {
-    case TargetMode::CodeData: return "code+data";
-    case TargetMode::OtherSec: return "other-sec";
-    case TargetMode::None: return "none";
+    case core::TargetMode::CodeData: return "code+data";
+    case core::TargetMode::OtherSec: return "other-sec";
+    case core::TargetMode::None: return "none";
   }
   return "?";
 }
@@ -37,22 +41,22 @@ void trace_donor(const MpassConfig& cfg, const ModifiedSample& mod,
 
 }  // namespace
 
-using util::ByteBuf;
-
-Mpass::Mpass(MpassConfig cfg, std::span<const ByteBuf> benign_pool,
-             std::vector<ml::ByteConvNet*> known)
-    : cfg_(std::move(cfg)),
-      pool_(benign_pool.begin(), benign_pool.end()),
-      known_(std::move(known)) {
+Mpass::Mpass(std::string name, MpassConfig cfg,
+             std::span<const ByteBuf> benign_pool,
+             std::span<ml::ByteConvNet* const> known)
+    : name_(std::move(name)),
+      cfg_(std::move(cfg)),
+      pool_(benign_pool.begin(), benign_pool.end()) {
   if (pool_.empty()) pool_.emplace_back();  // degenerate zero-donor
+  known_.reserve(known.size());
+  for (const ml::ByteConvNet* n : known) known_.push_back(*n);
 }
 
-MpassResult Mpass::run(std::span<const std::uint8_t> malware,
-                       detect::HardLabelOracle& oracle,
-                       std::uint64_t seed) const {
+AttackResult Mpass::run(std::span<const std::uint8_t> malware,
+                        detect::HardLabelOracle& oracle, std::uint64_t seed) {
   OBS_SCOPE("attack.mpass.run");
   util::Rng rng(seed);
-  MpassResult result;
+  AttackResult result;
   // Ensemble-loss trace: one "opt" event per optimizer step, numbered
   // monotonically across donors so the inspector can plot one loss curve
   // per sample.
@@ -62,10 +66,13 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
       obs::Event("opt").uint("iter", ++opt_iter).num("loss", loss);
   };
 
-  const bool can_optimize =
-      cfg_.optimize && !known_.empty() && !cfg_.random_content;
-  std::unique_ptr<EnsembleOptimizer> opt;
-  if (can_optimize) opt = std::make_unique<EnsembleOptimizer>(known_);
+  const bool can_optimize = !known_.empty() && !cfg_.random_content;
+  std::unique_ptr<core::EnsembleOptimizer> opt;
+  if (can_optimize) {
+    std::vector<ml::ByteConvNet*> nets;
+    for (ml::ByteConvNet& n : known_) nets.push_back(&n);
+    opt = std::make_unique<core::EnsembleOptimizer>(std::move(nets));
+  }
   // Before each query: opt_steps_per_query steps, then more while the
   // ensemble scores the sample above the query gate. Returns the last loss.
   const auto optimize = [&](ModifiedSample& m) {
@@ -92,7 +99,8 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
       const ByteBuf& donor = pool_[rng.below(pool_.size())];
       ModifiedSample candidate;
       try {
-        candidate = apply_modification(malware, donor, cfg_.modification, rng);
+        candidate =
+            core::apply_modification(malware, donor, cfg_.modification, rng);
       } catch (const util::ParseError&) {
         return result;  // not a modifiable PE
       }
@@ -164,4 +172,4 @@ MpassResult Mpass::run(std::span<const std::uint8_t> malware,
   return result;
 }
 
-}  // namespace mpass::core
+}  // namespace mpass::attack

@@ -1,10 +1,13 @@
 #include "attack/obfuscate.hpp"
 
+#include "obs/span.hpp"
+
 namespace mpass::attack {
 
 AttackResult ObfuscateAttack::run(std::span<const std::uint8_t> malware,
                                   detect::HardLabelOracle& oracle,
                                   std::uint64_t seed) {
+  OBS_SCOPE("attack.obfuscate.run");
   AttackResult result;
   result.adversarial.assign(malware.begin(), malware.end());
   auto packed = pack::pack(kind_, malware, {seed});

@@ -1,5 +1,7 @@
 #include "attack/rla.hpp"
 
+#include "obs/span.hpp"
+
 namespace mpass::attack {
 
 using util::ByteBuf;
@@ -22,6 +24,7 @@ std::size_t Rla::choose(std::uint64_t state, util::Rng& rng) {
 
 AttackResult Rla::run(std::span<const std::uint8_t> malware,
                       detect::HardLabelOracle& oracle, std::uint64_t seed) {
+  OBS_SCOPE("attack.rla.run");
   util::Rng rng(seed);
   AttackResult result;
   result.adversarial.assign(malware.begin(), malware.end());

@@ -8,7 +8,7 @@
 #include "attack/gamma.hpp"
 #include "attack/mab.hpp"
 #include "attack/malrnn.hpp"
-#include "attack/mpass_attack.hpp"
+#include "attack/mpass.hpp"
 #include "attack/obfuscate.hpp"
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
@@ -300,30 +300,20 @@ CellStats run_cell(attack::Attack& atk, const detect::Detector& target,
 std::unique_ptr<attack::Attack> make_attack(std::string_view name,
                                             detect::ModelZoo& zoo,
                                             std::string_view target_name) {
-  // MPass variants clone the known models so concurrent grid cells never
-  // share forward-pass caches.
-  const attack::MpassAttack::CloneTag clone;
-  if (name == "MPass") {
-    const auto known = zoo.known_nets_excluding(target_name);
-    return std::make_unique<attack::MpassAttack>(
-        "MPass", attack::MpassAttack::default_config(), zoo.benign_pool(),
-        known, clone);
-  }
-  if (name == "Other-sec") {
-    const auto known = zoo.known_nets_excluding(target_name);
-    return std::make_unique<attack::MpassAttack>(
-        "Other-sec", attack::MpassAttack::other_sec_config(),
-        zoo.benign_pool(), known, clone);
-  }
-  if (name == "Random-data")
-    return std::make_unique<attack::MpassAttack>(
-        "Random-data", attack::MpassAttack::random_data_config(),
-        zoo.benign_pool(), std::vector<ml::ByteConvNet*>{});
-  if (name == "MPass-noshuffle") {
-    const auto known = zoo.known_nets_excluding(target_name);
-    return std::make_unique<attack::MpassAttack>(
-        "MPass-noshuffle", attack::MpassAttack::no_shuffle_config(),
-        zoo.benign_pool(), known, clone);
+  // The MPass variants copy the known models they are given, so concurrent
+  // grid cells never share forward-pass caches; Random-data gets none.
+  if (name == "MPass" || name == "Other-sec" || name == "Random-data" ||
+      name == "MPass-noshuffle") {
+    attack::MpassConfig cfg;
+    if (name == "Other-sec")
+      cfg.modification.targets = core::TargetMode::OtherSec;
+    if (name == "Random-data") cfg.random_content = true;
+    if (name == "MPass-noshuffle") cfg.modification.stub.shuffle = false;
+    const auto known = name == "Random-data"
+                           ? std::vector<ml::ByteConvNet*>{}
+                           : zoo.known_nets_excluding(target_name);
+    return std::make_unique<attack::Mpass>(std::string(name), cfg,
+                                           zoo.benign_pool(), known);
   }
   if (name == "RLA")
     return std::make_unique<attack::Rla>(attack::RlaConfig{},

@@ -16,6 +16,7 @@
 #include "corpus/generator.hpp"
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "pe/pe.hpp"
 #include "util/hashing.hpp"
@@ -300,7 +301,19 @@ struct AvqCase {
   // Bytes an AE must grow past the largest sample to evade. 0: the
   // detector flags nothing, since a packed file need not outgrow anything.
   std::size_t margin;
+  std::string_view span;  // the attack body's OBS_SCOPE site
 };
+
+/// Whether any span call path recorded so far ends in `site`.
+bool span_recorded(std::string_view site) {
+  for (const obs::SpanRow& row : obs::span_snapshot()) {
+    const std::string_view path = row.path;
+    const std::size_t head = path.size() - site.size();
+    if (path.ends_with(site) && (head == 0 || path[head - 1] == '/'))
+      return true;
+  }
+  return false;
+}
 
 // Stable test names: gtest would otherwise print the struct's raw bytes.
 void PrintTo(const AvqCase& c, std::ostream* os) {
@@ -311,6 +324,7 @@ class HarnessAvq : public ::testing::TestWithParam<AvqCase> {};
 
 // AVQ comes from the oracle's first benign verdict, so every attack that
 // succeeds has 1 <= AVQ <= budget, whether or not it counts its queries.
+// Each attack's run also leaves its span in the profile.
 TEST_P(HarnessAvq, SuccessImpliesAvqWithinBudget) {
   const auto pool = tiny_pool();
   ml::GruLm lm(ml::GruLmConfig{}, 3);
@@ -329,6 +343,7 @@ TEST_P(HarnessAvq, SuccessImpliesAvqWithinBudget) {
   cfg.use_cache = false;
   const harness::CellStats stats =
       harness::run_cell(*atk, det, samples, samples, cfg);
+  EXPECT_TRUE(span_recorded(GetParam().span)) << GetParam().span;
   ASSERT_GT(stats.successes, 0u);
   EXPECT_GE(stats.avq, 1.0);
   EXPECT_LE(stats.avq, 30.0);
@@ -342,9 +357,11 @@ TEST_P(HarnessAvq, SuccessImpliesAvqWithinBudget) {
 
 INSTANTIATE_TEST_SUITE_P(
     Attacks, HarnessAvq,
-    ::testing::Values(AvqCase{"RLA", 4096}, AvqCase{"MAB", 4096},
-                      AvqCase{"GAMMA", 4096}, AvqCase{"MalRNN", 4096},
-                      AvqCase{"PESpin", 0}),
+    ::testing::Values(AvqCase{"RLA", 4096, "attack.rla.run"},
+                      AvqCase{"MAB", 4096, "attack.mab.run"},
+                      AvqCase{"GAMMA", 4096, "attack.gamma.run"},
+                      AvqCase{"MalRNN", 4096, "attack.malrnn.run"},
+                      AvqCase{"PESpin", 0, "attack.obfuscate.run"}),
     [](const ::testing::TestParamInfo<AvqCase>& info) {
       return std::string(info.param.attack);
     });

@@ -1,11 +1,13 @@
 // Tests for the MPass core: recovery stub + shuffle strategy, modification
-// engine (positions I / key map J), and the ensemble optimizer invariants.
+// engine (positions I / key map J), the ensemble optimizer invariants, and
+// the attack::Mpass loop built on them.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <string_view>
 
-#include "core/mpass.hpp"
+#include "attack/mpass.hpp"
+#include "core/optimizer.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/models.hpp"
 #include "detectors/training.hpp"
@@ -331,12 +333,13 @@ TEST_F(TinyNetFixture, WhiteBoxAttackSucceeds) {
   // Known model == target: MPass must bypass within the budget on a sample
   // the detector flags.
   std::vector<ByteBuf> pool = {donor_bytes(1), donor_bytes(2)};
-  Mpass attack({}, pool, {&det_->net()});
+  ml::ByteConvNet* const known[] = {&det_->net()};
+  attack::Mpass attack("MPass", {}, pool, known);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const ByteBuf sample = corpus::make_malware(7100 + seed).bytes();
     if (!det_->is_malicious(sample)) continue;
     detect::HardLabelOracle oracle(*det_, 100);
-    const MpassResult r = attack.run(sample, oracle, 5);
+    const attack::AttackResult r = attack.run(sample, oracle, 5);
     EXPECT_TRUE(r.success);
     EXPECT_GE(oracle.queries(), 1u);
     // MPass stops at its first evasion.
@@ -389,7 +392,7 @@ TEST(Optimizer, WarmStepRunsNoFullForward) {
 
 TEST(Mpass, RandomContentModeQueriesUntilBudget) {
   // Against an always-malicious detector, random-content mode must consume
-  // the full budget and fail.
+  // the full budget and fail, inside the attack's span.
   class Always : public detect::Detector {
    public:
     std::string_view name() const override { return "always"; }
@@ -400,16 +403,19 @@ TEST(Mpass, RandomContentModeQueriesUntilBudget) {
   };
   Always det;
   std::vector<ByteBuf> pool = {donor_bytes(3)};
-  MpassConfig cfg;
+  attack::MpassConfig cfg;
   cfg.random_content = true;
-  cfg.optimize = false;
-  Mpass attack(cfg, pool, {});
+  attack::Mpass attack("Random-data", cfg, pool, {});
   detect::HardLabelOracle oracle(det, 10);
   const ByteBuf sample = corpus::make_malware(4242).bytes();
-  const MpassResult r = attack.run(sample, oracle, 1);
+  const attack::AttackResult r = attack.run(sample, oracle, 1);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(oracle.queries(), 10u);
   EXPECT_EQ(oracle.first_evasion(), 0u);
+  bool spanned = false;
+  for (const obs::SpanRow& row : obs::span_snapshot())
+    spanned |= row.path == "attack.mpass.run";
+  EXPECT_TRUE(spanned);
 }
 
 }  // namespace

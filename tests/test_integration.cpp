@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "attack/mab.hpp"
-#include "attack/mpass_attack.hpp"
+#include "attack/mpass.hpp"
 #include "explain/pem.hpp"
 #include "harness/experiment.hpp"
 
@@ -50,9 +50,8 @@ TEST_F(MiniZoo, MpassBeatsAtLeastOneDetectedSample) {
   const detect::Detector* gate[] = {&target};
   const auto samples = harness::make_attack_set(gate, 4, 99);
   ASSERT_FALSE(samples.empty());
-  attack::MpassAttack mpass("MPass", attack::MpassAttack::default_config(),
-                            zoo().benign_pool(),
-                            zoo().known_nets_excluding("MalConv"));
+  attack::Mpass mpass("MPass", {}, zoo().benign_pool(),
+                      zoo().known_nets_excluding("MalConv"));
   const vm::Sandbox sandbox;
   int wins = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
@@ -114,9 +113,8 @@ TEST_F(MiniZoo, HarnessGridRunsEndToEnd) {
   const detect::Detector* gate[] = {&target};
   const auto samples = harness::make_attack_set(gate, cfg.n_samples, 7);
   ASSERT_FALSE(samples.empty());
-  attack::MpassAttack mpass("MPass", attack::MpassAttack::default_config(),
-                            zoo().benign_pool(),
-                            zoo().known_nets_excluding("LightGBM"));
+  attack::Mpass mpass("MPass", {}, zoo().benign_pool(),
+                      zoo().known_nets_excluding("LightGBM"));
   const harness::CellStats stats =
       harness::run_cell(mpass, target, samples, samples, cfg);
   EXPECT_EQ(stats.n, samples.size());

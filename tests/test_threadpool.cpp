@@ -11,6 +11,7 @@
 
 #include "attack/gamma.hpp"
 #include "attack/mab.hpp"
+#include "attack/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/models.hpp"
 #include "harness/experiment.hpp"
@@ -167,6 +168,21 @@ TEST(ThreadPool, RunCellDeterministicForStatefulAttackClones) {
   // is exactly what makes the parallel schedule order-free.
   expect_thread_count_invariance([](std::span<const util::ByteBuf> benign) {
     return std::make_unique<attack::Mab>(attack::MabConfig{}, benign);
+  });
+}
+
+TEST(ThreadPool, RunCellDeterministicForMpassCopiedKnownModels) {
+  // The known nets are locals of the factory and die before run_cell
+  // starts: the attack must have copied them, and every per-sample clone
+  // optimizes on its own copies, whatever thread it runs on. `a` has the
+  // target's config and seed, so it is the target's net: the attack evades
+  // and the comparison covers real AEs, not only query counts.
+  expect_thread_count_invariance([](std::span<const util::ByteBuf> benign) {
+    ml::ByteConvNet a(detect::malconv_config(), 4711);
+    ml::ByteConvNet b(detect::malconv_config(), 32);
+    ml::ByteConvNet* const known[] = {&a, &b};
+    return std::make_unique<attack::Mpass>("MPass", attack::MpassConfig{},
+                                           benign, known);
   });
 }
 

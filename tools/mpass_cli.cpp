@@ -13,8 +13,7 @@
 #include <map>
 #include <string>
 
-#include "attack/attack.hpp"
-#include "core/mpass.hpp"
+#include "attack/mpass.hpp"
 #include "corpus/generator.hpp"
 #include "detectors/zoo.hpp"
 #include "explain/pem.hpp"
@@ -139,10 +138,10 @@ int cmd_attack(int argc, char** argv) {
   }
   std::printf("target %s: original score %.4f (threshold %.4f)\n", target_name,
               target->score(file), target->threshold());
-  core::Mpass attack({}, zoo.benign_pool(),
-                     zoo.known_nets_excluding(target_name));
+  attack::Mpass attack("MPass", {}, zoo.benign_pool(),
+                       zoo.known_nets_excluding(target_name));
   detect::HardLabelOracle oracle(*target, 100);
-  const core::MpassResult r = attack.run(file, oracle, seed);
+  const attack::AttackResult r = attack.run(file, oracle, seed);
   std::printf("success=%d queries=%zu APR=%.0f%%\n", r.success,
               oracle.queries(),
               100.0 * attack::apr_of(file.size(), r.adversarial.size()));
