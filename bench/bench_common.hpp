@@ -16,7 +16,6 @@
 #include "harness/experiment.hpp"
 #include "ml/kernels.hpp"
 #include "obs/json.hpp"
-#include "obs/span.hpp"
 #include "util/table.hpp"
 #include "util/threadpool.hpp"
 
@@ -87,10 +86,10 @@ inline void print_cell_timings(const std::vector<harness::CellStats>& cells) {
 
 /// Machine-readable per-bench report. Construct at the top of main, feed it
 /// the grids the bench computed, and on destruction it writes
-/// BENCH_<name>.json (schema v1: wall_ms, per-cell CellStats, merged span
-/// profile, build metadata) to $MPASS_BENCH_DIR (created if needed) or the
-/// working directory. The schema is documented in docs/OBSERVABILITY.md;
-/// `mpass_prof top` / `tree` read its spans.
+/// BENCH_<name>.json (schema v1: wall_ms, per-cell CellStats, build
+/// metadata) to $MPASS_BENCH_DIR (created if needed) or the working
+/// directory. The schema is documented in docs/OBSERVABILITY.md. Span rows
+/// go to MPASS_PROFILE, not here.
 class BenchReport {
  public:
   explicit BenchReport(std::string name)
@@ -177,11 +176,7 @@ class BenchReport {
       obs::json_number(out, c.qps);
       out += '}';
     }
-    out += "]";
-
-    out += ",\"spans\":";
-    obs::append_span_rows(out, obs::span_snapshot());
-    out += "}\n";
+    out += "]}\n";
 
     std::filesystem::path dir = ".";
     if (const char* d = std::getenv("MPASS_BENCH_DIR"); d && *d) dir = d;

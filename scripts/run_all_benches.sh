@@ -4,7 +4,8 @@
 # also writes a machine-readable BENCH_<name>.json (schema:
 # docs/OBSERVABILITY.md) into MPASS_BENCH_DIR, and bench_micro writes its
 # google-benchmark JSON record there as micro.json (the input of
-# `mpass_prof compare`).
+# `mpass_prof compare`). Every bench also leaves its span profile there as
+# <bench>.profile.json (MPASS_PROFILE; read it with `mpass_prof top`).
 #
 # Usage: scripts/run_all_benches.sh [output-file]
 # Knobs: MPASS_N / MPASS_N_OFFLINE / MPASS_N_AV (samples per cell),
@@ -30,32 +31,39 @@ MPASS_BENCH_DIR="${MPASS_BENCH_DIR:-bench_out}"
 export MPASS_BENCH_DIR
 mkdir -p "$MPASS_BENCH_DIR"
 
+# run <bench> [args...]: one bench binary, profiled into MPASS_BENCH_DIR.
+run() {
+  local b="$1"
+  shift
+  MPASS_PROFILE="$MPASS_BENCH_DIR/$b.profile.json" "$BENCH_DIR/$b" "$@"
+}
+
 {
   echo "===== bench_detectors ====="
-  "$BENCH_DIR/bench_detectors"
+  run bench_detectors
   echo
   echo "===== bench_pem_sections ====="
-  "$BENCH_DIR/bench_pem_sections"
+  run bench_pem_sections
   echo
   for b in bench_table1_asr bench_table2_avq bench_table3_apr \
            bench_functionality; do
     echo "===== $b (N=$N_OFFLINE, threads=$MPASS_THREADS) ====="
-    MPASS_N="$N_OFFLINE" "$BENCH_DIR/$b"
+    MPASS_N="$N_OFFLINE" run "$b"
     echo
   done
   for b in bench_fig3_av_asr bench_table4_obfuscation \
            bench_fig4_av_learning bench_table5_other_sec \
            bench_table6_random_data; do
     echo "===== $b (N=$N_AV, threads=$MPASS_THREADS) ====="
-    MPASS_N="$N_AV" "$BENCH_DIR/$b"
+    MPASS_N="$N_AV" run "$b"
     echo
   done
   for b in bench_advtrain bench_ablation_ensemble bench_ablation_budget; do
     echo "===== $b ====="
-    MPASS_N="$N_AV" "$BENCH_DIR/$b"
+    MPASS_N="$N_AV" run "$b"
     echo
   done
   echo "===== bench_micro ====="
-  "$BENCH_DIR/bench_micro" --benchmark_out="$MPASS_BENCH_DIR/micro.json" \
+  run bench_micro --benchmark_out="$MPASS_BENCH_DIR/micro.json" \
     --benchmark_out_format=json
 } 2>&1 | tee "$OUT"

@@ -9,6 +9,7 @@
 #include <span>
 #include <string>
 
+#include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "util/bytes.hpp"
 
@@ -58,6 +59,7 @@ class HardLabelOracle {
   /// and is never returned to the attack (the threat model stays
   /// hard-label).
   bool query(std::span<const std::uint8_t> bytes) {
+    OBS_SCOPE("detect.oracle.query");
     ++queries_;
     const double s = detector_.score(bytes);
     const bool malicious = s >= detector_.threshold();

@@ -407,7 +407,6 @@ std::vector<CellStats> run_grid(std::string_view key,
               std::string(key).c_str(), c.attack.c_str(), c.target.c_str(),
               c.asr, c.avq, c.apr, c.wall_ms, c.qps);
   }
-  obs::write_span_snapshot();
   return cells;
 }
 

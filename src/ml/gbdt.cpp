@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "obs/span.hpp"
 #include "util/rng.hpp"
 
 namespace mpass::ml {
@@ -197,6 +198,7 @@ float Gbdt::decision(std::span<const float> x) const {
 }
 
 float Gbdt::predict(std::span<const float> x) const {
+  OBS_SCOPE("ml.gbdt.predict");
   return sigmoidf(decision(x));
 }
 

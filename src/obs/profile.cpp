@@ -16,23 +16,6 @@ double num_or(const Json* j, double fallback) {
   return j && j->is_number() ? j->number() : fallback;
 }
 
-std::optional<std::vector<SpanProfileRow>> rows_from_array(const Json& arr) {
-  if (!arr.is_array()) return std::nullopt;
-  std::vector<SpanProfileRow> rows;
-  rows.reserve(arr.items().size());
-  for (const Json& item : arr.items()) {
-    const Json* path = item.get("path");
-    if (!path || !path->is_string()) return std::nullopt;
-    SpanProfileRow r;
-    r.path = path->str();
-    r.count = static_cast<std::uint64_t>(num_or(item.get("count"), 0.0));
-    r.total_ms = num_or(item.get("total_ms"), 0.0);
-    r.self_ms = num_or(item.get("self_ms"), 0.0);
-    rows.push_back(std::move(r));
-  }
-  return rows;
-}
-
 std::string_view basename_of(std::string_view path) {
   const std::size_t slash = path.rfind('/');
   return slash == std::string_view::npos ? path : path.substr(slash + 1);
@@ -89,9 +72,21 @@ std::optional<std::map<std::string, double>> benchmark_times(
 }  // namespace
 
 std::optional<std::vector<SpanProfileRow>> parse_spans(const Json& doc) {
-  if (doc.is_array()) return rows_from_array(doc);
-  if (const Json* spans = doc.get("spans")) return rows_from_array(*spans);
-  return std::nullopt;
+  const Json* spans = doc.get("spans");
+  if (!spans || !spans->is_array()) return std::nullopt;
+  std::vector<SpanProfileRow> rows;
+  rows.reserve(spans->items().size());
+  for (const Json& item : spans->items()) {
+    const Json* path = item.get("path");
+    if (!path || !path->is_string()) return std::nullopt;
+    SpanProfileRow r;
+    r.path = path->str();
+    r.count = static_cast<std::uint64_t>(num_or(item.get("count"), 0.0));
+    r.total_ms = num_or(item.get("total_ms"), 0.0);
+    r.self_ms = num_or(item.get("self_ms"), 0.0);
+    rows.push_back(std::move(r));
+  }
+  return rows;
 }
 
 std::string render_span_top(const std::vector<SpanProfileRow>& rows,

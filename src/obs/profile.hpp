@@ -1,7 +1,7 @@
 // Span-profile rendering and the micro-benchmark perf gate: the library
 // behind tools/mpass_prof.
-//   * parse_spans       -- spans out of a spans.json (obs/span.hpp) or
-//                          BENCH_<name>.json (bench/bench_common.hpp)
+//   * parse_spans       -- spans out of an MPASS_PROFILE document
+//                          (obs/span.hpp)
 //   * render_span_top   -- self-time hotspot table
 //   * render_span_tree  -- call-path tree with % of parent
 //   * compare_profiles  -- per-benchmark times of two bench_micro runs
@@ -28,9 +28,8 @@ struct SpanProfileRow {
   double self_ms = 0.0;
 };
 
-/// Extracts span rows from a parsed document: accepts a bare spans.json
-/// ({"spans":[...]}), a BENCH_<name>.json (same key), or a raw spans array.
-/// nullopt if the document has no well-formed "spans".
+/// Extracts span rows from a parsed profile document ({"spans":[...]},
+/// obs::spans_to_json). nullopt if it has no well-formed "spans".
 std::optional<std::vector<SpanProfileRow>> parse_spans(const Json& doc);
 
 /// Self-time hotspot table, top `n` rows.

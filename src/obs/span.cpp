@@ -22,16 +22,9 @@ namespace {
 // can be indexed without the core lock.
 constexpr std::size_t kMaxSites = 512;
 constexpr std::size_t kMaxPaths = 8192;
-// Per-shard bound on buffered Chrome events; pops beyond it are counted
-// and reported at flush instead of exhausting memory on huge runs.
-constexpr std::size_t kMaxEventsPerShard = 1u << 20;
 
 constexpr std::uint32_t kRootPath = 0;
 constexpr std::size_t kSlotsPerPath = 3;  // count, total_ns, child_ns
-
-// Whether any profile sink is active; mirrored from the core so the
-// disabled-path check is one relaxed load with no TLS or lock.
-std::atomic<bool> g_profiling{false};
 
 std::uint64_t now_ns() {
   static const std::chrono::steady_clock::time_point epoch =
@@ -42,26 +35,12 @@ std::uint64_t now_ns() {
           .count());
 }
 
-struct ProfileEvent {
-  enum Kind : std::uint8_t { kComplete, kFlowStart, kFlowFinish };
-  Kind kind = kComplete;
-  std::uint32_t tid = 0;
-  std::uint32_t path = 0;     // complete events
-  std::uint64_t t0_ns = 0;
-  std::uint64_t dur_ns = 0;   // complete events
-  std::uint64_t flow = 0;     // flow events
-};
-
 // Per-thread slot shard: the owning thread updates slots with relaxed
-// atomics, growth and snapshot serialize through the mutex. The Chrome
-// event buffer shares the mutex (profiling appends are owner-only, so the
-// lock is uncontended except during flush).
+// atomics, growth and snapshot serialize through the mutex.
 struct SpanShard {
   mutable std::mutex mu;
   std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
   std::size_t capacity = 0;
-  std::vector<ProfileEvent> events;
-  std::uint64_t events_dropped = 0;
 
   void ensure(std::size_t need) {
     if (need <= capacity) return;
@@ -76,15 +55,6 @@ struct SpanShard {
     std::lock_guard<std::mutex> lk(mu);
     slots = std::move(grown);
     capacity = cap;
-  }
-
-  void record_event(const ProfileEvent& ev) {
-    std::lock_guard<std::mutex> lk(mu);
-    if (events.size() >= kMaxEventsPerShard) {
-      ++events_dropped;
-      return;
-    }
-    events.push_back(ev);
   }
 };
 
@@ -105,12 +75,7 @@ struct SpanCore {
 
   std::vector<SpanShard*> shards;
   std::vector<std::uint64_t> retired;  // folded slots of exited threads
-  std::vector<ProfileEvent> retired_events;
-  std::uint64_t retired_events_dropped = 0;
 
-  std::map<std::uint32_t, std::string> thread_names;
-  std::atomic<std::uint64_t> next_flow{1};
-  std::atomic<std::uint32_t> next_tid{1};
   std::filesystem::path profile_path;  // guarded by mu
 
   SpanCore() {
@@ -118,10 +83,7 @@ struct SpanCore {
     paths.reserve(kMaxPaths);
     paths.push_back(PathNode{});  // root
     const char* v = std::getenv("MPASS_PROFILE");
-    if (v && *v) {
-      profile_path = v;
-      g_profiling.store(true, std::memory_order_relaxed);
-    }
+    if (v && *v) profile_path = v;
   }
 
   std::uint32_t intern_site(std::string_view name) {
@@ -162,7 +124,7 @@ struct SpanCore {
     return id;
   }
 
-  // Folds an exiting thread's shard (slots + event buffer).
+  // Folds an exiting thread's slots into the retired totals.
   void retire(SpanShard* s) {
     std::lock_guard<std::mutex> lk(mu);
     const std::size_t n =
@@ -170,12 +132,6 @@ struct SpanCore {
     if (retired.size() < n) retired.resize(n, 0);
     for (std::size_t i = 0; i < n; ++i)
       retired[i] += s->slots[i].load(std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> slk(s->mu);
-      retired_events.insert(retired_events.end(), s->events.begin(),
-                            s->events.end());
-      retired_events_dropped += s->events_dropped;
-    }
     shards.erase(std::remove(shards.begin(), shards.end(), s), shards.end());
   }
 };
@@ -184,7 +140,7 @@ struct SpanCore {
 // turns on. Only called once the core is fully constructed: atexit hooks
 // registered after a static's construction run before its destructor, so
 // the flush still sees the core. It merges live and retired shards, so it
-// sees every thread's events whether or not the pool was torn down first.
+// sees every thread's spans whether or not the pool was torn down first.
 void ensure_exit_flush() {
   static const bool registered = [] {
     std::atexit([] { flush_profile(); });
@@ -196,7 +152,7 @@ void ensure_exit_flush() {
 std::shared_ptr<SpanCore>& core_ref() {
   static std::shared_ptr<SpanCore> core = std::make_shared<SpanCore>();
   static const bool env_profile = [] {  // MPASS_PROFILE set at startup
-    if (profiling()) ensure_exit_flush();
+    if (!core->profile_path.empty()) ensure_exit_flush();
     return true;
   }();
   (void)env_profile;
@@ -216,7 +172,6 @@ struct SpanTls {
   std::unique_ptr<SpanShard> shard;
   std::vector<Frame> stack;
   std::unordered_map<std::uint64_t, std::uint32_t> path_cache;
-  std::uint32_t tid = 0;
   ~SpanTls() {
     if (core && shard) core->retire(shard.get());
   }
@@ -228,7 +183,6 @@ SpanTls& tls() {
   if (!t.shard) {
     t.core = core_ref();
     t.shard = std::make_unique<SpanShard>();
-    t.tid = t.core->next_tid.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lk(t.core->mu);
     t.core->shards.push_back(t.shard.get());
   }
@@ -264,9 +218,6 @@ void pop_frame(SpanTls& t) {
     s.slots[f.parent * kSlotsPerPath + 2].fetch_add(
         dur, std::memory_order_relaxed);
   }
-  if (g_profiling.load(std::memory_order_relaxed))
-    s.record_event(
-        {ProfileEvent::kComplete, t.tid, f.path, f.t0, dur, /*flow=*/0});
 }
 
 std::uint32_t pool_task_site() {
@@ -274,76 +225,8 @@ std::uint32_t pool_task_site() {
   return site;
 }
 
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  json_escape(out, s);
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
-SpanSiteId span_site(std::string_view name) {
-  return core_ref()->intern_site(name);
-}
-
-Span::Span(SpanSiteId site) noexcept {
-  SpanTls& t = tls();
-  const std::uint32_t parent =
-      t.stack.empty() ? kRootPath : t.stack.back().path;
-  t.stack.push_back(Frame{cached_path(t, parent, site), parent, now_ns()});
-}
-
-Span::~Span() { pop_frame(tls()); }
-
-// ---- cross-thread handoff ---------------------------------------------------
-
-SpanHandoff span_handoff_capture() {
-  // Fast path: outside any span with profiling off, there is nothing to
-  // propagate and no TLS/shard needs to exist.
-  if (span_tls.stack.empty() &&
-      !g_profiling.load(std::memory_order_relaxed))
-    return {};
-  SpanTls& t = tls();
-  SpanHandoff h;
-  h.path = t.stack.empty() ? kRootPath : t.stack.back().path;
-  if (g_profiling.load(std::memory_order_relaxed)) {
-    h.flow = t.core->next_flow.fetch_add(1, std::memory_order_relaxed);
-    t.shard->record_event({ProfileEvent::kFlowStart, t.tid, /*path=*/0,
-                           now_ns(), /*dur=*/0, h.flow});
-  }
-  return h;
-}
-
-SpanTaskScope::SpanTaskScope(const SpanHandoff& h) noexcept {
-  if (!h.engaged()) return;
-  SpanTls& t = tls();
-  const std::uint32_t site = pool_task_site();
-  const std::uint64_t t0 = now_ns();
-  if (h.flow && g_profiling.load(std::memory_order_relaxed))
-    t.shard->record_event(
-        {ProfileEvent::kFlowFinish, t.tid, /*path=*/0, t0, /*dur=*/0, h.flow});
-  // Named under the submitter, accounted to the frame open on *this*
-  // thread: the task's time lies inside that frame (a helping waiter's
-  // span) or inside no frame at all (an idle worker), never inside the
-  // submitter's frame on another thread.
-  const std::uint32_t parent =
-      t.stack.empty() ? kRootPath : t.stack.back().path;
-  t.stack.push_back(Frame{cached_path(t, h.path, site), parent, t0});
-  active_ = true;
-}
-
-SpanTaskScope::~SpanTaskScope() {
-  if (active_) pop_frame(tls());
-}
-
-// ---- snapshots --------------------------------------------------------------
-
-std::vector<SpanRow> span_snapshot() {
-  const std::shared_ptr<SpanCore> core = core_ref();
-  SpanCore& c = *core;
-  std::lock_guard<std::mutex> lk(c.mu);
-
+// Merged rows of every completed span; the caller holds c.mu.
+std::vector<SpanRow> snapshot_locked(const SpanCore& c) {
   const std::size_t n_slots = c.paths.size() * kSlotsPerPath;
   std::vector<std::uint64_t> acc(n_slots, 0);
   for (std::size_t i = 0; i < std::min(c.retired.size(), n_slots); ++i)
@@ -384,14 +267,65 @@ std::vector<SpanRow> span_snapshot() {
   return rows;
 }
 
-void append_span_rows(std::string& out, const std::vector<SpanRow>& rows) {
-  out += '[';
+}  // namespace
+
+SpanSiteId span_site(std::string_view name) {
+  return core_ref()->intern_site(name);
+}
+
+Span::Span(SpanSiteId site) noexcept {
+  SpanTls& t = tls();
+  const std::uint32_t parent =
+      t.stack.empty() ? kRootPath : t.stack.back().path;
+  t.stack.push_back(Frame{cached_path(t, parent, site), parent, now_ns()});
+}
+
+Span::~Span() { pop_frame(tls()); }
+
+// ---- cross-thread handoff ---------------------------------------------------
+
+SpanHandoff span_handoff_capture() {
+  // Outside any span there is nothing to propagate and no TLS/shard needs
+  // to exist.
+  if (span_tls.stack.empty()) return {};
+  return {span_tls.stack.back().path};
+}
+
+SpanTaskScope::SpanTaskScope(const SpanHandoff& h) noexcept {
+  if (!h.engaged()) return;
+  SpanTls& t = tls();
+  const std::uint32_t site = pool_task_site();
+  const std::uint64_t t0 = now_ns();
+  // Named under the submitter, accounted to the frame open on *this*
+  // thread: the task's time lies inside that frame (a helping waiter's
+  // span) or inside no frame at all (an idle worker), never inside the
+  // submitter's frame on another thread.
+  const std::uint32_t parent =
+      t.stack.empty() ? kRootPath : t.stack.back().path;
+  t.stack.push_back(Frame{cached_path(t, h.path, site), parent, t0});
+  active_ = true;
+}
+
+SpanTaskScope::~SpanTaskScope() {
+  if (active_) pop_frame(tls());
+}
+
+// ---- snapshots --------------------------------------------------------------
+
+std::vector<SpanRow> span_snapshot() {
+  const std::shared_ptr<SpanCore> core = core_ref();
+  std::lock_guard<std::mutex> lk(core->mu);
+  return snapshot_locked(*core);
+}
+
+std::string spans_to_json(const std::vector<SpanRow>& rows) {
+  std::string out = "{\"schema_version\":1,\"spans\":[";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const SpanRow& r = rows[i];
     if (i) out += ',';
-    out += "{\"path\":";
-    out += json_quote(r.path);
-    out += ",\"count\":";
+    out += "{\"path\":\"";
+    json_escape(out, r.path);
+    out += "\",\"count\":";
     json_number(out, static_cast<double>(r.count));
     out += ",\"total_ms\":";
     json_number(out, static_cast<double>(r.total_ns) / 1e6);
@@ -401,20 +335,16 @@ void append_span_rows(std::string& out, const std::vector<SpanRow>& rows) {
     json_number(out, static_cast<double>(r.child_ns) / 1e6);
     out += '}';
   }
-  out += ']';
+  out += "]}";
+  return out;
 }
 
-std::string spans_to_json(const std::vector<SpanRow>& rows) {
-  std::string s = "{\"schema_version\":1,\"spans\":";
-  append_span_rows(s, rows);
-  s += '}';
-  return s;
-}
+// ---- profile sink -----------------------------------------------------------
 
-// ---- Chrome trace-event sink ------------------------------------------------
-
-bool profiling() noexcept {
-  return g_profiling.load(std::memory_order_relaxed);
+bool profiling() {
+  const std::shared_ptr<SpanCore> core = core_ref();
+  std::lock_guard<std::mutex> lk(core->mu);
+  return !core->profile_path.empty();
 }
 
 void set_profile_path(std::optional<std::filesystem::path> path) {
@@ -422,111 +352,21 @@ void set_profile_path(std::optional<std::filesystem::path> path) {
   std::lock_guard<std::mutex> lk(core->mu);
   if (!path) {
     core->profile_path.clear();
-    g_profiling.store(false, std::memory_order_relaxed);
   } else if (path->empty()) {
     const char* v = std::getenv("MPASS_PROFILE");
     core->profile_path = std::filesystem::path(v && *v ? v : "");
-    g_profiling.store(!core->profile_path.empty(),
-                      std::memory_order_relaxed);
   } else {
     core->profile_path = std::move(*path);
-    g_profiling.store(true, std::memory_order_relaxed);
   }
-  if (profiling()) ensure_exit_flush();
+  if (!core->profile_path.empty()) ensure_exit_flush();
 }
-
-namespace {
-
-void append_chrome_event(std::string& out, bool& first,
-                         const ProfileEvent& ev, const SpanCore& c,
-                         const std::vector<std::string>& names) {
-  if (!first) out += ',';
-  first = false;
-  char buf[64];
-  const double ts_us = static_cast<double>(ev.t0_ns) / 1e3;
-  switch (ev.kind) {
-    case ProfileEvent::kComplete: {
-      const PathNode& node = c.paths[ev.path];
-      out += "{\"ph\":\"X\",\"name\":";
-      out += json_quote(c.sites[node.site]);
-      out += ",\"cat\":\"span\",\"pid\":1,\"tid\":";
-      std::snprintf(buf, sizeof(buf), "%u,\"ts\":", ev.tid);
-      out += buf;
-      json_number(out, ts_us);
-      out += ",\"dur\":";
-      json_number(out, static_cast<double>(ev.dur_ns) / 1e3);
-      out += ",\"args\":{\"path\":";
-      out += json_quote(names[ev.path]);
-      out += "}}";
-      break;
-    }
-    case ProfileEvent::kFlowStart:
-    case ProfileEvent::kFlowFinish: {
-      const bool start = ev.kind == ProfileEvent::kFlowStart;
-      out += start ? "{\"ph\":\"s\"" : "{\"ph\":\"f\",\"bp\":\"e\"";
-      out += ",\"name\":\"pool.submit\",\"cat\":\"flow\",\"pid\":1,\"id\":";
-      json_number(out, static_cast<double>(ev.flow));
-      std::snprintf(buf, sizeof(buf), ",\"tid\":%u,\"ts\":", ev.tid);
-      out += buf;
-      json_number(out, ts_us);
-      out += '}';
-      break;
-    }
-  }
-}
-
-}  // namespace
 
 void flush_profile() {
   const std::shared_ptr<SpanCore> core = core_ref();
-  if (!g_profiling.load(std::memory_order_relaxed)) return;
-
   SpanCore& c = *core;
   std::lock_guard<std::mutex> lk(c.mu);
   if (c.profile_path.empty()) return;
-
-  std::vector<ProfileEvent> events = c.retired_events;
-  std::uint64_t dropped = c.retired_events_dropped;
-  for (const SpanShard* s : c.shards) {
-    std::lock_guard<std::mutex> slk(s->mu);
-    events.insert(events.end(), s->events.begin(), s->events.end());
-    dropped += s->events_dropped;
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const ProfileEvent& a, const ProfileEvent& b) {
-                     return a.t0_ns < b.t0_ns;
-                   });
-
-  std::vector<std::string> names(c.paths.size());
-  for (std::size_t id = 1; id < c.paths.size(); ++id) {
-    const PathNode& node = c.paths[id];
-    names[id] = node.parent == kRootPath
-                    ? c.sites[node.site]
-                    : names[node.parent] + "/" + c.sites[node.site];
-  }
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  out +=
-      "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":1,\"args\":{\"name\":"
-      "\"mpass\"}}";
-  first = false;
-  // Thread-name metadata: explicit names first, then a default for every
-  // tid that recorded events but never named itself.
-  std::map<std::uint32_t, std::string> tid_names = c.thread_names;
-  for (const ProfileEvent& ev : events)
-    if (!tid_names.count(ev.tid))
-      tid_names[ev.tid] = "thread-" + std::to_string(ev.tid);
-  for (const auto& [tid, name] : tid_names) {
-    out += ",{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":1,\"tid\":";
-    json_number(out, static_cast<double>(tid));
-    out += ",\"args\":{\"name\":";
-    out += json_quote(name);
-    out += "}}";
-  }
-  for (const ProfileEvent& ev : events)
-    append_chrome_event(out, first, ev, c, names);
-  out += "]}";
+  const std::string out = spans_to_json(snapshot_locked(c));
 
   std::error_code ec;
   if (c.profile_path.has_parent_path())
@@ -538,17 +378,6 @@ void flush_profile() {
     std::fprintf(stderr, "span: cannot write profile %s\n",
                  c.profile_path.string().c_str());
   }
-  if (dropped > 0)
-    std::fprintf(stderr,
-                 "span: profile dropped %llu events (per-thread cap %zu)\n",
-                 static_cast<unsigned long long>(dropped),
-                 kMaxEventsPerShard);
-}
-
-void set_thread_name(std::string_view name) {
-  SpanTls& t = tls();
-  std::lock_guard<std::mutex> lk(t.core->mu);
-  t.core->thread_names[t.tid] = std::string(name);
 }
 
 }  // namespace mpass::obs

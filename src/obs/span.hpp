@@ -33,14 +33,12 @@
 // *submitting* call path) around the task body, so a task records under
 // the span that submitted it, whichever thread runs it. Its time is child
 // time of the frame open on the executing thread (a waiter that helps), or
-// of none (an idle worker). With profiling on, the handoff also carries a
-// flow id linking submit to execution with a Chrome flow arrow.
+// of none (an idle worker).
 //
-// Profiling sink: MPASS_PROFILE=<file> records one Chrome trace-event
-// "complete" event per span pop (plus flow arrows and thread names) and
-// writes Perfetto-loadable JSON at flush_profile() / process exit. With the
-// variable unset, no events are recorded and the only cost is the
-// span-stack bookkeeping.
+// Profile sink: MPASS_PROFILE=<file> makes flush_profile(), and process
+// exit, write spans_to_json(span_snapshot()) to the file -- the one place
+// span rows leave a process. Recording is the same with or without it;
+// only the write at exit is added.
 #pragma once
 
 #include <cstdint>
@@ -102,34 +100,27 @@ struct SpanRow {
 /// Deterministic merged view of every completed span, sorted by path.
 std::vector<SpanRow> span_snapshot();
 
-/// Appends the rows as a JSON array of {"path","count","total_ms","self_ms",
-/// "child_ms"} objects -- the one span-row writer, shared by spans.json and
-/// the "spans" key of BENCH_*.json.
-void append_span_rows(std::string& out, const std::vector<SpanRow>& rows);
-
-/// {"schema_version":1,"spans":[...]} -- the spans.json document
+/// {"schema_version":1,"spans":[{"path","count","total_ms","self_ms",
+/// "child_ms"},...]} -- the profile document MPASS_PROFILE holds and
 /// tools/mpass_prof reads.
 std::string spans_to_json(const std::vector<SpanRow>& rows);
 
 // ---- cross-thread handoff (used by util::ThreadPool) ------------------------
 
-/// Captured submitting context: the submitter's current call path and, when
-/// profiling, a flow id for the Chrome flow arrow.
+/// Captured submitting context: the submitter's current call path.
 struct SpanHandoff {
   std::uint32_t path = 0;  // 0 = root (submitter was outside any span)
-  std::uint64_t flow = 0;  // 0 = no flow event recorded
-  bool engaged() const { return path != 0 || flow != 0; }
+  bool engaged() const { return path != 0; }
 };
 
-/// Captures the calling thread's handoff context and, when profiling,
-/// records the flow-start event. Cheap no-op ({0,0}) when the caller is
-/// outside any span and profiling is off.
+/// Captures the calling thread's current call path. Cheap no-op ({0}) when
+/// the caller is outside any span.
 SpanHandoff span_handoff_capture();
 
 /// Opens a "pool.task" span named under the handoff's path on the
 /// executing thread (which may differ from the submitter), accounted as a
-/// child of the frame open on that thread, and records the flow-finish
-/// event. Inactive for a disengaged handoff.
+/// child of the frame open on that thread. Inactive for a disengaged
+/// handoff.
 class SpanTaskScope {
  public:
   explicit SpanTaskScope(const SpanHandoff& h) noexcept;
@@ -141,22 +132,18 @@ class SpanTaskScope {
   bool active_ = false;
 };
 
-// ---- Chrome trace-event sink ------------------------------------------------
+// ---- profile sink -----------------------------------------------------------
 
-/// True iff span pops are being recorded as Chrome trace events.
-bool profiling() noexcept;
+/// True iff a profile path is set (MPASS_PROFILE or set_profile_path).
+bool profiling();
 
 /// Test/CLI override of the profile output file. nullopt disables
 /// profiling; an empty path restores the MPASS_PROFILE environment value.
 void set_profile_path(std::optional<std::filesystem::path> path);
 
-/// Writes every event recorded so far as Chrome trace-event JSON to the
-/// profile path (whole-file rewrite; safe to call more than once). Also
-/// invoked at process exit once profiling was ever enabled. No-op when
-/// profiling is off.
+/// Writes spans_to_json(span_snapshot()) to the profile path (whole-file
+/// rewrite; safe to call more than once). Also invoked at process exit
+/// once profiling was ever enabled. No-op when profiling is off.
 void flush_profile();
-
-/// Names the calling thread in profile output ("pool-worker-3", ...).
-void set_thread_name(std::string_view name);
 
 }  // namespace mpass::obs

@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "obs/log.hpp"
-#include "obs/span.hpp"
 
 namespace mpass::obs {
 
@@ -171,17 +170,6 @@ void append_run_line(std::string_view file, std::string line) {
   std::ofstream out(*dir / file, std::ios::binary | std::ios::app);
   if (out)
     out.write(line.data(), static_cast<std::streamsize>(line.size()));
-}
-
-void write_span_snapshot() {
-  const std::filesystem::path* dir = trace_dir();
-  if (!dir) return;
-  std::error_code ec;
-  std::filesystem::create_directories(*dir, ec);
-  // Call-path profile of the run, consumed by `mpass_prof top/tree`.
-  const std::string spans = spans_to_json(span_snapshot());
-  std::ofstream out(*dir / "spans.json", std::ios::binary | std::ios::trunc);
-  if (out) out.write(spans.data(), static_cast<std::streamsize>(spans.size()));
 }
 
 }  // namespace mpass::obs

@@ -6,7 +6,8 @@
 // an "end" line. Run-level streams append under a global mutex:
 // "cells.jsonl" (one "cell" line per completed grid cell, for query-budget
 // reconciliation against CellStats) and "pem.jsonl" (PEM section rankings).
-// Schema: docs/OBSERVABILITY.md.
+// The directory holds traces only: span rows go to MPASS_PROFILE
+// (obs/span.hpp). Schema: docs/OBSERVABILITY.md.
 //
 // The sink composes with the per-sample parallel harness: a TraceScope is
 // opened by the worker task that executes the sample and the buffer is
@@ -86,9 +87,5 @@ class Event {
 /// Appends one line to a run-level stream (e.g. "cells.jsonl") under the
 /// trace directory; serialized by a global mutex. No-op when disabled.
 void append_run_line(std::string_view file, std::string line);
-
-/// Writes the current span snapshot (call-path profile with per-path call
-/// counts, obs/span.hpp) to <trace dir>/spans.json. No-op when disabled.
-void write_span_snapshot();
 
 }  // namespace mpass::obs

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "obs/json.hpp"
-#include "obs/profile.hpp"
 
 namespace mpass::obs {
 
@@ -264,16 +263,6 @@ TraceCheckReport check_trace_dir(const std::filesystem::path& dir) {
 
     if (auto sample = parse_sample_trace(*text, name, &rep.errors))
       rep.data.samples.push_back(std::move(*sample));
-  }
-
-  if (std::filesystem::exists(dir / "spans.json")) {
-    const std::optional<std::string> text = read_text(dir / "spans.json");
-    const std::optional<Json> parsed =
-        text ? Json::parse(*text) : std::nullopt;
-    if (!parsed || !parse_spans(*parsed))
-      rep.errors.push_back("spans.json: malformed span profile");
-    else
-      rep.data.has_spans = true;
   }
 
   // Query-budget and AVQ reconciliation: per (attack, target), the *last*

@@ -55,7 +55,6 @@ struct TraceDirData {
   std::vector<SampleTraceData> samples;
   std::vector<CellTraceData> cells;  // in file order; later lines win
   std::size_t pem_lines = 0;
-  bool has_spans = false;  // spans.json present and well-formed
 };
 
 /// Outcome of validating a trace directory.
@@ -80,8 +79,7 @@ std::optional<SampleTraceData> parse_sample_trace(
     std::vector<std::string>* errors);
 
 /// Loads and validates a whole trace directory: every *.jsonl line must
-/// satisfy the schema, a spans.json (if present) must parse as a span
-/// profile, and for every cell whose samples were all executed
+/// satisfy the schema, and for every cell whose samples were all executed
 /// in this run (traced == n and all n files present), the sum of per-sample
 /// query counts must equal the cell's total_queries, and the successful
 /// samples' count and summed first-evasion indices must equal the cell's

@@ -1,9 +1,6 @@
 #include "util/threadpool.hpp"
 
 #include <cstdlib>
-#include <string>
-
-#include "obs/span.hpp"
 
 namespace mpass::util {
 
@@ -11,10 +8,8 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this, i] {
-      obs::set_thread_name("pool-worker-" + std::to_string(i));
-      help_until([this] { return stop_ && tasks_.empty(); });
-    });
+    workers_.emplace_back(
+        [this] { help_until([this] { return stop_ && tasks_.empty(); }); });
 }
 
 ThreadPool::~ThreadPool() {

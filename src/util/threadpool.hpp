@@ -18,9 +18,7 @@
 //
 // Observability: span context (obs/span.hpp) propagates across submit():
 // each task executes under a "pool.task" span named under the submitting
-// call path -- so the pool's work count is the pool.task span count -- and,
-// with MPASS_PROFILE set, submit and execution are linked by Chrome flow
-// arrows.
+// call path, so the pool's work count is the pool.task span count.
 #pragma once
 
 #include <chrono>

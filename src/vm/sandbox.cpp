@@ -1,8 +1,11 @@
 #include "vm/sandbox.hpp"
 
+#include "obs/span.hpp"
+
 namespace mpass::vm {
 
 SandboxReport Sandbox::analyze(const util::ByteBuf& file) const {
+  OBS_SCOPE("vm.sandbox");
   SandboxReport report;
   try {
     Machine m(file);

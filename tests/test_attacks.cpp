@@ -14,6 +14,7 @@
 #include "attack/obfuscate.hpp"
 #include "attack/rla.hpp"
 #include "corpus/generator.hpp"
+#include "detectors/models.hpp"
 #include "harness/experiment.hpp"
 #include "obs/json.hpp"
 #include "obs/span.hpp"
@@ -304,15 +305,17 @@ struct AvqCase {
   std::string_view span;  // the attack body's OBS_SCOPE site
 };
 
-/// Whether any span call path recorded so far ends in `site`.
-bool span_recorded(std::string_view site) {
+/// Calls recorded so far on every span call path that ends in `site`
+/// (a whole site name, or a "parent/child" suffix).
+std::uint64_t span_count(std::string_view site) {
+  std::uint64_t n = 0;
   for (const obs::SpanRow& row : obs::span_snapshot()) {
     const std::string_view path = row.path;
     const std::size_t head = path.size() - site.size();
     if (path.ends_with(site) && (head == 0 || path[head - 1] == '/'))
-      return true;
+      n += row.count;
   }
-  return false;
+  return n;
 }
 
 // Stable test names: gtest would otherwise print the struct's raw bytes.
@@ -343,7 +346,7 @@ TEST_P(HarnessAvq, SuccessImpliesAvqWithinBudget) {
   cfg.use_cache = false;
   const harness::CellStats stats =
       harness::run_cell(*atk, det, samples, samples, cfg);
-  EXPECT_TRUE(span_recorded(GetParam().span)) << GetParam().span;
+  EXPECT_GT(span_count(GetParam().span), 0u) << GetParam().span;
   ASSERT_GT(stats.successes, 0u);
   EXPECT_GE(stats.avq, 1.0);
   EXPECT_LE(stats.avq, 30.0);
@@ -365,6 +368,37 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AvqCase>& info) {
       return std::string(info.param.attack);
     });
+
+// A cell against the feature-space target records the layers under the
+// attack: each oracle query, the GBDT predict inside it, and the sandbox
+// runs of the functionality check.
+TEST(HarnessSpans, GbdtCellRecordsOracleGbdtAndSandbox) {
+  const auto pool = tiny_pool();
+  Rla atk(RlaConfig{}, pool);
+  std::vector<ByteBuf> samples;
+  for (int i = 0; i < 2; ++i)
+    samples.push_back(corpus::make_malware(3900 + i).bytes());
+  // Untrained, the GBDT scores everything sigmoid(0) = 0.5: above that
+  // threshold it flags nothing, so every first query evades and every AE
+  // reaches the sandbox.
+  detect::GbdtDetector det("gbdt", {});
+  det.set_threshold(0.6);
+  harness::ExperimentConfig cfg;
+  cfg.max_queries = 30;
+  cfg.use_cache = false;
+  constexpr std::string_view kSites[] = {
+      "detect.oracle.query", "detect.oracle.query/ml.gbdt.predict",
+      "vm.sandbox"};
+  std::vector<std::uint64_t> before;
+  for (std::string_view site : kSites) before.push_back(span_count(site));
+  const harness::CellStats stats =
+      harness::run_cell(atk, det, samples, samples, cfg);
+  ASSERT_EQ(stats.successes, samples.size());
+  for (std::size_t i = 0; i < std::size(kSites); ++i)
+    EXPECT_GT(span_count(kSites[i]), before[i]) << kSites[i];
+  // Two sandbox runs per functionality check: original and AE.
+  EXPECT_EQ(span_count("vm.sandbox") - before[2], 2 * samples.size());
+}
 
 TEST(Baselines, AprAccounting) {
   EXPECT_DOUBLE_EQ(apr_of(100, 150), 0.5);

@@ -139,26 +139,12 @@ TEST(Trace, CheckDirReconcilesQueryBudgets) {
   emit_sample("MPass", "MalConv", 0x2, 7);
   append_run_line("cells.jsonl",
                   cell_line("MPass", "MalConv", 2, 2, 12, 2, 12));
-  write_span_snapshot();
-  ASSERT_TRUE(std::filesystem::exists(guard.dir / "spans.json"));
 
   const TraceCheckReport ok = check_trace_dir(guard.dir);
   EXPECT_TRUE(ok.ok()) << ok.errors.front();
   EXPECT_EQ(ok.data.samples.size(), 2u);
   ASSERT_EQ(ok.data.cells.size(), 1u);
   EXPECT_EQ(ok.data.cells[0].total_queries, 12u);
-  EXPECT_TRUE(ok.data.has_spans);
-
-  // A malformed span profile is exactly one error.
-  {
-    std::ofstream(guard.dir / "spans.json", std::ios::trunc)
-        << "{\"spans\":[{\"count\":1}]}";
-  }
-  const TraceCheckReport bad_spans = check_trace_dir(guard.dir);
-  ASSERT_EQ(bad_spans.errors.size(), 1u);
-  EXPECT_NE(bad_spans.errors[0].find("spans.json"), std::string::npos);
-  EXPECT_FALSE(bad_spans.data.has_spans);
-  write_span_snapshot();
 
   // A fully-traced cell whose query totals disagree must fail the check.
   append_run_line("cells.jsonl",

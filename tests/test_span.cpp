@@ -2,8 +2,8 @@
 // perf-baseline pipeline behind tools/mpass_prof (obs/profile.hpp):
 // call-path nesting and exact self-time accounting, invisibility of open
 // spans, cross-thread propagation through util::ThreadPool under
-// contention, Chrome trace-event JSON validity of the MPASS_PROFILE sink,
-// and the per-benchmark compare the CI perf gate runs on.
+// contention, the MPASS_PROFILE document (the snapshot's rows), and the
+// per-benchmark compare the CI perf gate runs on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -250,7 +250,7 @@ TEST(Span, SnapshotIsDeterministicallySorted) {
   EXPECT_EQ(parsed->size(), rows.size());
 }
 
-TEST(Span, ChromeProfileIsValidAndNested) {
+TEST(Span, ProfileFileHoldsTheSnapshotRows) {
   const std::filesystem::path out =
       std::filesystem::temp_directory_path() / "mpass_test_profile.json";
   std::filesystem::remove(out);
@@ -272,69 +272,40 @@ TEST(Span, ChromeProfileIsValidAndNested) {
     EXPECT_EQ(pool.wait(std::move(fut)), 7);
   }
   flush_profile();
-  set_profile_path(std::nullopt);  // stop recording for the rest of the suite
+  const std::vector<SpanRow> snap = span_snapshot();
+  set_profile_path(std::nullopt);  // no exit flush for the rest of the suite
 
   std::ifstream in(out, std::ios::binary);
   ASSERT_TRUE(in.good());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
   const auto doc = Json::parse(text);
   ASSERT_TRUE(doc.has_value()) << "profile must be valid JSON";
-  const Json* unit = doc->get("displayTimeUnit");
-  ASSERT_TRUE(unit && unit->is_string());
-  EXPECT_EQ(unit->str(), "ms");
-  const Json* events = doc->get("traceEvents");
-  ASSERT_TRUE(events && events->is_array());
+  const Json* version = doc->get("schema_version");
+  ASSERT_TRUE(version && version->is_number());
+  EXPECT_EQ(version->number(), 1.0);
+  const auto rows = parse_spans(*doc);
+  ASSERT_TRUE(rows.has_value());
 
-  struct Ev {
-    std::string name;
-    double ts = 0.0, dur = 0.0, tid = -1.0;
-  };
-  std::vector<Ev> complete;
-  std::size_t flow_starts = 0, flow_finishes = 0, metas = 0;
-  for (const Json& e : events->items()) {
-    const Json* ph = e.get("ph");
-    ASSERT_TRUE(ph && ph->is_string());
-    ASSERT_TRUE(e.get("pid") && e.get("pid")->is_number());
-    if (ph->str() == "X") {
-      Ev ev;
-      ev.name = e.get("name")->str();
-      ev.ts = e.get("ts")->number();
-      ev.dur = e.get("dur")->number();
-      ev.tid = e.get("tid")->number();
-      complete.push_back(ev);
-    } else if (ph->str() == "s") {
-      ++flow_starts;
-      ASSERT_TRUE(e.get("id") && e.get("id")->is_number());
-    } else if (ph->str() == "f") {
-      ++flow_finishes;
-      const Json* bp = e.get("bp");
-      ASSERT_TRUE(bp && bp->is_string());
-      EXPECT_EQ(bp->str(), "e");
-    } else {
-      EXPECT_EQ(ph->str(), "M");
-      ++metas;
-    }
+  // The file is the snapshot, row for row.
+  ASSERT_EQ(rows->size(), snap.size());
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ((*rows)[i].path, snap[i].path);
+    EXPECT_EQ((*rows)[i].count, snap[i].count) << snap[i].path;
   }
-  EXPECT_GE(metas, 1u);  // process/thread names
-  EXPECT_GE(flow_starts, 1u) << "pool submit must emit a flow start";
-  EXPECT_GE(flow_finishes, 1u) << "pool execute must emit a flow finish";
-
-  const auto find = [&](const std::string& name) -> const Ev* {
-    for (const Ev& e : complete)
-      if (e.name == name) return &e;
+  const auto row = [&](const std::string& path) -> const SpanProfileRow* {
+    for (const SpanProfileRow& r : *rows)
+      if (r.path == path) return &r;
     return nullptr;
   };
-  const Ev* outer = find("t.span.prof.outer");
-  const Ev* inner = find("t.span.prof.inner");
-  const Ev* task = find("t.span.prof.task");
-  ASSERT_TRUE(outer && inner && task);
-  // Nesting: inner lies within outer's interval on the same thread.
-  EXPECT_EQ(inner->tid, outer->tid);
-  EXPECT_GE(inner->ts, outer->ts);
-  EXPECT_LE(inner->ts + inner->dur, outer->ts + outer->dur + 1.0);
-  EXPECT_GE(inner->dur, 100.0);  // spun 100us -> dur is in us
-  EXPECT_GE(task->dur, 50.0);
+  const SpanProfileRow* inner = row("t.span.prof.outer/t.span.prof.inner");
+  const SpanProfileRow* task =
+      row("t.span.prof.outer/pool.task/t.span.prof.task");
+  ASSERT_TRUE(inner && task);
+  EXPECT_EQ(inner->count, 1u);
+  EXPECT_EQ(task->count, 1u);
+  EXPECT_GE(inner->total_ms, 0.1);  // spun 100us
+  EXPECT_GE(task->total_ms, 0.05);
 }
 
 // ---- perf-baseline pipeline -------------------------------------------------
@@ -345,8 +316,8 @@ Json parse_or_die(const std::string& text) {
   return *doc;
 }
 
-const char* kBenchA =
-    R"({"schema_version":1,"bench":"alpha","wall_ms":100.0,"spans":[
+const char* kProfileA =
+    R"({"schema_version":1,"spans":[
         {"path":"a","count":10,"total_ms":90.0,"self_ms":40.0,"child_ms":50.0},
         {"path":"a/b","count":10,"total_ms":50.0,"self_ms":50.0,"child_ms":0}]})";
 
@@ -422,8 +393,8 @@ TEST(Profile, CompareFailsOnMissingBenchmark) {
 
 TEST(Profile, CompareRejectsNonBenchmarkDocuments) {
   const Json base = gbench(row("BM_A", 100.0, "ns"));
-  EXPECT_FALSE(compare_profiles(base, parse_or_die(kBenchA)).has_value());
-  EXPECT_FALSE(compare_profiles(parse_or_die(kBenchA), base).has_value());
+  EXPECT_FALSE(compare_profiles(base, parse_or_die(kProfileA)).has_value());
+  EXPECT_FALSE(compare_profiles(parse_or_die(kProfileA), base).has_value());
   // A baseline that times nothing would gate nothing.
   EXPECT_FALSE(compare_profiles(gbench(""), base).has_value());
   EXPECT_FALSE(
@@ -431,19 +402,24 @@ TEST(Profile, CompareRejectsNonBenchmarkDocuments) {
           .has_value());
 }
 
-TEST(Profile, ParseSpansAcceptsAllThreeShapes) {
+TEST(Profile, ParseSpansReadsProfileDocuments) {
+  EXPECT_TRUE(parse_spans(parse_or_die(R"({"spans":[]})")).has_value());
+  const auto rows = parse_spans(parse_or_die(kProfileA));
+  ASSERT_TRUE(rows.has_value());
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ((*rows)[1].path, "a/b");
+  EXPECT_EQ((*rows)[1].count, 10u);
+  // A bare row array is not a profile document.
   const char* arr =
       R"([{"path":"p","count":1,"total_ms":1.0,"self_ms":1.0}])";
-  EXPECT_TRUE(parse_spans(parse_or_die(arr)).has_value());
-  EXPECT_TRUE(parse_spans(parse_or_die(
-                              R"({"spans":[]})"))
-                  .has_value());
-  EXPECT_TRUE(parse_spans(parse_or_die(kBenchA)).has_value());
+  EXPECT_FALSE(parse_spans(parse_or_die(arr)).has_value());
   EXPECT_FALSE(parse_spans(parse_or_die(R"({"nope":1})")).has_value());
+  EXPECT_FALSE(
+      parse_spans(parse_or_die(R"({"spans":[{"count":1}]})")).has_value());
 }
 
 TEST(Profile, RenderersProduceOutput) {
-  const auto rows = parse_spans(parse_or_die(kBenchA));
+  const auto rows = parse_spans(parse_or_die(kProfileA));
   ASSERT_TRUE(rows.has_value());
   EXPECT_NE(render_span_top(*rows).find("a/b"), std::string::npos);
   const std::string tree = render_span_tree(*rows);

@@ -5,6 +5,7 @@
 // threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <thread>
@@ -113,6 +114,11 @@ TEST(ThreadPool, DestructorDrainsQueuedTasks) {
     EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
 }
 
+// The target's init seed. At this seed GAMMA and MAB each evade some but
+// not all of the six samples at the threshold set below, so both the
+// success and the failure paths are compared across thread counts.
+constexpr std::uint64_t kTargetSeed = 6;
+
 /// run_cell must produce bit-identical CellStats regardless of the thread
 /// count (per-sample clones + per-sample RNG streams seeded from the sample
 /// digest make each outcome independent of scheduling order).
@@ -125,7 +131,15 @@ void expect_thread_count_invariance(MakeAttack make_attack) {
   for (int i = 0; i < 4; ++i)
     pool_benign.push_back(corpus::make_benign(9200 + i).bytes());
 
-  detect::ByteConvDetector target("tgt", detect::malconv_config(), 4711);
+  // Every sample stays detected (score >= threshold), and the lowest-scored
+  // one sits right at the threshold, so every attack here can evade and
+  // the comparison covers real AEs, not only query counts.
+  detect::ByteConvDetector target("tgt", detect::malconv_config(),
+                                  kTargetSeed);
+  double lowest = 1.0;
+  for (const util::ByteBuf& s : samples)
+    lowest = std::min(lowest, target.score(s));
+  target.set_threshold(lowest);
 
   harness::ExperimentConfig cfg;
   cfg.n_samples = samples.size();
@@ -143,6 +157,8 @@ void expect_thread_count_invariance(MakeAttack make_attack) {
   const harness::CellStats s8 =
       harness::run_cell(*atk8, target, samples, samples, cfg, &many, &aes8);
 
+  ASSERT_GT(s1.successes, 0u);
+  ASSERT_FALSE(aes1.empty());
   EXPECT_EQ(s1.n, s8.n);
   EXPECT_EQ(s1.successes, s8.successes);
   EXPECT_DOUBLE_EQ(s1.asr, s8.asr);
@@ -175,10 +191,9 @@ TEST(ThreadPool, RunCellDeterministicForMpassCopiedKnownModels) {
   // The known nets are locals of the factory and die before run_cell
   // starts: the attack must have copied them, and every per-sample clone
   // optimizes on its own copies, whatever thread it runs on. `a` has the
-  // target's config and seed, so it is the target's net: the attack evades
-  // and the comparison covers real AEs, not only query counts.
+  // target's config and seed, so it is the target's net.
   expect_thread_count_invariance([](std::span<const util::ByteBuf> benign) {
-    ml::ByteConvNet a(detect::malconv_config(), 4711);
+    ml::ByteConvNet a(detect::malconv_config(), kTargetSeed);
     ml::ByteConvNet b(detect::malconv_config(), 32);
     ml::ByteConvNet* const known[] = {&a, &b};
     return std::make_unique<attack::Mpass>("MPass", attack::MpassConfig{},

@@ -21,7 +21,6 @@
 #include "fuzz/mutator.hpp"
 #include "fuzz/oracle.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "pe/pe.hpp"
 #include "util/bytes.hpp"
 #include "util/serialize.hpp"
@@ -77,7 +76,6 @@ int cmd_run(int argc, char** argv) {
     OBS_SCOPE("fuzz.campaign");
     return fuzzer.run();
   }();
-  obs::write_span_snapshot();
   obs::flush_profile();
   std::printf(
       "fuzz: %zu iterations (seed %llu): parse ok %zu / rejected %zu, "

@@ -10,8 +10,9 @@
 //                                        when a baseline benchmark is more
 //                                        than 2x slower or missing
 //
-// top/tree read a spans.json or a BENCH_<name>.json. Exit codes: 0 pass,
-// 1 regression, 2 usage or parse error.
+// top/tree read the span-profile document a binary writes at exit when
+// MPASS_PROFILE=<file> is set. Exit codes: 0 pass, 1 regression, 2 usage
+// or parse error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,8 +31,8 @@ using mpass::obs::Json;
 int usage() {
   std::fprintf(
       stderr,
-      "usage: mpass_prof top <spans.json|BENCH_*.json> [-n N]\n"
-      "       mpass_prof tree <spans.json|BENCH_*.json>\n"
+      "usage: mpass_prof top <profile.json> [-n N]\n"
+      "       mpass_prof tree <profile.json>\n"
       "       mpass_prof compare <baseline.json> <current.json>\n");
   return 2;
 }

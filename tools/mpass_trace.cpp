@@ -1,5 +1,5 @@
-// Trace inspector for MPASS_TRACE directories. The run's span profile
-// (spans.json) is read by tools/mpass_prof.
+// Trace inspector for MPASS_TRACE directories, which hold traces only. The
+// span profile is the MPASS_PROFILE document, read by tools/mpass_prof.
 //
 //   mpass_trace check <dir>      validate every JSONL line + reconcile
 //                                query budgets and first evasions (AVQ)
