@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "harness/experiment.hpp"
 #include "ml/kernels.hpp"
 #include "obs/json.hpp"
@@ -132,18 +134,23 @@ class BenchReport {
                      static_cast<double>(util::ThreadPool::instance().size()));
     out += "}";
 
+    // Every MPASS_* variable, in name order: each one can change the
+    // tables, so two reports are comparable only if these match.
+    std::vector<std::pair<std::string_view, std::string_view>> vars;
+    for (char** e = environ; *e; ++e) {
+      const std::string_view entry(*e);
+      const std::size_t eq = entry.find('=');
+      if (entry.starts_with("MPASS_") && eq != std::string_view::npos)
+        vars.emplace_back(entry.substr(0, eq), entry.substr(eq + 1));
+    }
+    std::sort(vars.begin(), vars.end());
     out += ",\"env\":{";
-    bool first_env = true;
-    for (const char* var : {"MPASS_N", "MPASS_MAX_QUERIES", "MPASS_THREADS",
-                            "MPASS_NO_CACHE", "MPASS_TRAIN_MAL"}) {
-      const char* v = std::getenv(var);
-      if (!v) continue;
-      if (!first_env) out += ',';
-      first_env = false;
+    for (std::size_t i = 0; i < vars.size(); ++i) {
+      if (i) out += ',';
       out += '"';
-      obs::json_escape(out, var);
+      obs::json_escape(out, vars[i].first);
       out += "\":\"";
-      obs::json_escape(out, v);
+      obs::json_escape(out, vars[i].second);
       out += '"';
     }
     out += "}";

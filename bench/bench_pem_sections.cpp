@@ -5,6 +5,7 @@
 #include "bench_common.hpp"
 #include "corpus/generator.hpp"
 #include "explain/pem.hpp"
+#include "util/env.hpp"
 
 int main() {
   using namespace mpass;
@@ -12,9 +13,7 @@ int main() {
   auto& zoo = detect::ModelZoo::instance();
 
   // N randomly sampled malware (exact Shapley: few players per file).
-  std::size_t n = 24;
-  if (const char* v = std::getenv("MPASS_PEM_N"); v && *v)
-    n = std::strtoull(v, nullptr, 10);
+  const std::size_t n = util::env_size("MPASS_PEM_N", 24);
   std::vector<util::ByteBuf> malware;
   for (std::size_t i = 0; i < n; ++i)
     malware.push_back(corpus::make_malware(0x9E40 + i).bytes());
@@ -23,8 +22,7 @@ int main() {
   for (detect::Detector* d : zoo.offline())
     known.push_back(d);  // all four serve as "known models" for PEM
 
-  explain::PemConfig cfg;
-  cfg.top_k = 3;
+  const explain::PemConfig cfg;
   const explain::PemResult res = explain::run_pem(malware, known, cfg);
 
   util::Table table("PEM: average Shapley value per section (x1000)");

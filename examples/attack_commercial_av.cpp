@@ -25,7 +25,7 @@ int main() {
 
   attack::Mpass mpass("MPass", {}, zoo.benign_pool(),
                       zoo.known_nets_excluding("none"));
-  attack::Mab mab({}, zoo.benign_pool());
+  attack::Mab mab(zoo.benign_pool());
 
   std::vector<util::ByteBuf> mpass_aes, mab_aes;
   const int n = 16;

@@ -126,7 +126,11 @@ std::optional<ByteBuf> apply_action(Action action,
     }
 
     case Action::UpxPack: {
-      auto packed = pack::pack(pack::PackerKind::UpxLike, file, {rng()});
+      // The packer takes no randomness. The draw is kept because every
+      // later action of the run, and so every recorded AE, depends on the
+      // RNG's position after it.
+      rng();
+      auto packed = pack::pack(pack::PackerKind::UpxLike, file);
       if (!packed) return std::nullopt;
       return *packed;
     }

@@ -7,13 +7,15 @@ namespace mpass::attack {
 
 using util::ByteBuf;
 
-Gamma::Gamma(GammaConfig cfg, std::span<const ByteBuf> benign_pool)
-    : cfg_(cfg) {
+constexpr std::size_t kLibrarySections = 24;  // harvested donor sections
+constexpr std::size_t kPopulation = 8;
+constexpr double kMutationRate = 0.15;
+
+Gamma::Gamma(std::span<const ByteBuf> benign_pool) {
   // Harvest a section library from the benign donors (the fixed "benign
   // content library" GAMMA ships with).
-  util::Rng rng(0x6A44A);
   for (const ByteBuf& donor : benign_pool) {
-    if (library_.size() >= cfg_.library_sections) break;
+    if (library_.size() >= kLibrarySections) break;
     pe::PeFile pe;
     try {
       pe = pe::PeFile::parse(donor);
@@ -21,7 +23,7 @@ Gamma::Gamma(GammaConfig cfg, std::span<const ByteBuf> benign_pool)
       continue;
     }
     for (const pe::Section& s : pe.sections) {
-      if (library_.size() >= cfg_.library_sections) break;
+      if (library_.size() >= kLibrarySections) break;
       if (s.data.size() < 256 || s.executable()) continue;
       library_.push_back({s.name, s.data});
     }
@@ -97,7 +99,7 @@ AttackResult Gamma::run(std::span<const std::uint8_t> malware,
   };
 
   std::vector<Scored> population;
-  for (std::size_t i = 0; i < cfg_.population && !oracle.exhausted(); ++i)
+  for (std::size_t i = 0; i < kPopulation && !oracle.exhausted(); ++i)
     population.push_back(evaluate(random_genome()));
 
   while (!oracle.exhausted() && !population.empty()) {
@@ -114,10 +116,10 @@ AttackResult Gamma::run(std::span<const std::uint8_t> malware,
     child.use.resize(library_.size());
     for (std::size_t i = 0; i < library_.size(); ++i) {
       child.use[i] = (rng.chance(0.5) ? pa.use[i] : pb.use[i]);
-      if (rng.chance(cfg_.mutation_rate)) child.use[i] = !child.use[i];
+      if (rng.chance(kMutationRate)) child.use[i] = !child.use[i];
     }
     child.overlay_pad = rng.chance(0.5) ? pa.overlay_pad : pb.overlay_pad;
-    if (rng.chance(cfg_.mutation_rate))
+    if (rng.chance(kMutationRate))
       child.overlay_pad = static_cast<std::uint32_t>(rng.range(0, 16384));
 
     Scored scored = evaluate(child);

@@ -15,15 +15,9 @@
 
 namespace mpass::attack {
 
-struct GammaConfig {
-  std::size_t library_sections = 24;  // harvested donor sections
-  std::size_t population = 8;
-  double mutation_rate = 0.15;
-};
-
 class Gamma : public Attack {
  public:
-  Gamma(GammaConfig cfg, std::span<const util::ByteBuf> benign_pool);
+  explicit Gamma(std::span<const util::ByteBuf> benign_pool);
 
   std::string_view name() const override { return "GAMMA"; }
 
@@ -47,7 +41,6 @@ class Gamma : public Attack {
   /// which dominated per-query cost once scoring went incremental).
   util::ByteBuf express(const pe::PeFile& base, const Genome& g) const;
 
-  GammaConfig cfg_;
   struct LibSection {
     std::string name;
     util::ByteBuf data;

@@ -11,6 +11,9 @@ namespace mpass::attack {
 using util::ByteBuf;
 
 namespace {
+// Pulls before restarting from pristine.
+constexpr int kMaxPullsPerRestart = 25;
+
 /// Crude Beta sampler via moment-matched Gaussian (adequate for bandits).
 double sample_beta(double a, double b, util::Rng& rng) {
   const double mean = a / (a + b);
@@ -43,7 +46,7 @@ AttackResult Mab::run(std::span<const std::uint8_t> malware,
   while (!oracle.exhausted()) {
     ByteBuf current(malware.begin(), malware.end());
     std::vector<std::size_t> pulled;
-    for (int pull = 0; pull < cfg_.max_pulls_per_restart && !oracle.exhausted();
+    for (int pull = 0; pull < kMaxPullsPerRestart && !oracle.exhausted();
          ++pull) {
       const std::size_t a = sample_arm(rng);
       auto mutated =
@@ -74,7 +77,7 @@ AttackResult Mab::run(std::span<const std::uint8_t> malware,
 
       // Minimization: replay the pulled arms from pristine, dropping one at
       // a time while the sample still evades (each trial costs a query).
-      if (cfg_.minimize && pulled.size() > 1) {
+      if (pulled.size() > 1) {
         util::Rng replay_rng(seed ^ 0x33);  // deterministic action content
         for (std::size_t drop = 0;
              drop < pulled.size() && !oracle.exhausted(); ++drop) {

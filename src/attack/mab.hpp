@@ -14,15 +14,10 @@
 
 namespace mpass::attack {
 
-struct MabConfig {
-  int max_pulls_per_restart = 25;  // pulls before restarting from pristine
-  bool minimize = true;
-};
-
 class Mab : public Attack {
  public:
-  Mab(MabConfig cfg, std::span<const util::ByteBuf> benign_pool)
-      : cfg_(cfg), pool_(benign_pool.begin(), benign_pool.end()) {
+  explicit Mab(std::span<const util::ByteBuf> benign_pool)
+      : pool_(benign_pool.begin(), benign_pool.end()) {
     alpha_.fill(1.0);
     beta_.fill(1.0);
   }
@@ -41,7 +36,6 @@ class Mab : public Attack {
  private:
   std::size_t sample_arm(util::Rng& rng);
 
-  MabConfig cfg_;
   std::vector<util::ByteBuf> pool_;
   // Beta posteriors per safe arm (risky arms are excluded from MAB).
   std::array<double, kNumActions> alpha_{}, beta_{};

@@ -8,6 +8,12 @@ namespace mpass::attack {
 
 using util::ByteBuf;
 
+constexpr std::size_t kInitialChunk = 2048;
+constexpr double kGrowth = 1.5;             // chunk growth per miss
+constexpr std::size_t kMaxChunk = 8192;     // per-query generation cap
+constexpr std::size_t kMaxTotal = 1 << 16;  // appended-bytes cap; then resample
+constexpr float kTemperature = 0.8f;
+
 AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
                          detect::HardLabelOracle& oracle,
                          std::uint64_t seed) {
@@ -24,20 +30,20 @@ AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
   }
 
   const std::size_t original_overlay = pe.overlay.size();
-  std::size_t chunk = cfg_.initial_chunk;
+  std::size_t chunk = kInitialChunk;
   std::size_t appended = 0;
   while (!oracle.exhausted()) {
     // Once the append budget is exhausted, strip back to the original
     // overlay and resample a fresh stream (bounded file size, new dice).
-    if (appended >= cfg_.max_total) {
+    if (appended >= kMaxTotal) {
       pe.overlay.resize(original_overlay);
       appended = 0;
-      chunk = cfg_.initial_chunk;
+      chunk = kInitialChunk;
     }
     // Condition the LM on the current overlay tail so the stream continues
     // naturally (the seq2seq conditioning of the original attack).
     std::span<const std::uint8_t> context(pe.overlay);
-    ByteBuf generated = lm_.generate(chunk, rng, context, cfg_.temperature);
+    ByteBuf generated = lm_.generate(chunk, rng, context, kTemperature);
     pe.overlay.insert(pe.overlay.end(), generated.begin(), generated.end());
     appended += generated.size();
 
@@ -58,9 +64,8 @@ AttackResult MalRnn::run(std::span<const std::uint8_t> malware,
       result.adversarial = std::move(sample);
       break;
     }
-    chunk = std::min(cfg_.max_chunk,
-                     static_cast<std::size_t>(static_cast<double>(chunk) *
-                                              cfg_.growth));
+    chunk = std::min(kMaxChunk, static_cast<std::size_t>(
+                                    static_cast<double>(chunk) * kGrowth));
     result.adversarial = std::move(sample);
   }
   return result;

@@ -13,18 +13,10 @@
 
 namespace mpass::attack {
 
-struct MalRnnConfig {
-  std::size_t initial_chunk = 2048;
-  double growth = 1.5;             // chunk growth per miss
-  std::size_t max_chunk = 8192;    // per-query generation cap
-  std::size_t max_total = 1 << 16; // appended-bytes cap; then resample
-  float temperature = 0.8f;
-};
-
 class MalRnn : public Attack {
  public:
   /// lm: the benign byte language model (ModelZoo::benign_lm()).
-  MalRnn(MalRnnConfig cfg, const ml::GruLm& lm) : cfg_(cfg), lm_(lm) {}
+  explicit MalRnn(const ml::GruLm& lm) : lm_(lm) {}
 
   std::string_view name() const override { return "MalRNN"; }
 
@@ -42,7 +34,6 @@ class MalRnn : public Attack {
   }
 
  private:
-  MalRnnConfig cfg_;
   const ml::GruLm& lm_;
 };
 

@@ -11,6 +11,16 @@ using util::ByteBuf;
 
 namespace {
 
+// Ensemble steps between target queries.
+constexpr int kOptStepsPerQuery = 2;
+// Re-roll the donor after this many misses.
+constexpr int kQueriesPerDonor = 8;
+// Only spend a query once the ensemble consensus is at most this confident
+// (or the extra-step budget is exhausted) -- queries are the scarce
+// resource, local optimization is free.
+constexpr float kQueryGateScore = 0.35f;
+constexpr int kMaxGateSteps = 6;
+
 const char* target_mode_name(core::TargetMode m) {
   switch (m) {
     case core::TargetMode::CodeData: return "code+data";
@@ -73,14 +83,14 @@ AttackResult Mpass::run(std::span<const std::uint8_t> malware,
     for (ml::ByteConvNet& n : known_) nets.push_back(&n);
     opt = std::make_unique<core::EnsembleOptimizer>(std::move(nets));
   }
-  // Before each query: opt_steps_per_query steps, then more while the
+  // Before each query: kOptStepsPerQuery steps, then more while the
   // ensemble scores the sample above the query gate. Returns the last loss.
   const auto optimize = [&](ModifiedSample& m) {
     float loss = 0.0f;
-    for (int s = 0; s < cfg_.opt_steps_per_query; ++s)
+    for (int s = 0; s < kOptStepsPerQuery; ++s)
       trace_opt(loss = opt->step(m));
-    for (int s = 0; s < cfg_.max_gate_steps &&
-                    opt->ensemble_score(m.bytes) > cfg_.query_gate_score;
+    for (int s = 0; s < kMaxGateSteps &&
+                    opt->ensemble_score(m.bytes) > kQueryGateScore;
          ++s)
       trace_opt(loss = opt->step(m));
     return loss;
@@ -150,7 +160,7 @@ AttackResult Mpass::run(std::span<const std::uint8_t> malware,
     int donor_queries = 0;
     float prev_loss = 1e30f;
     int stalls = 0;
-    while (!oracle.exhausted() && donor_queries < cfg_.queries_per_donor) {
+    while (!oracle.exhausted() && donor_queries < kQueriesPerDonor) {
       const float loss = optimize(mod);
       if (!oracle.query(mod.bytes)) {
         result.success = true;

@@ -18,13 +18,6 @@ namespace mpass::attack {
 
 struct MpassConfig {
   core::ModificationConfig modification;
-  int opt_steps_per_query = 2;   // ensemble steps between target queries
-  int queries_per_donor = 8;     // re-roll the donor after this many misses
-  // Only spend a query once the ensemble consensus is at most this
-  // confident (or the extra-step budget is exhausted) -- queries are the
-  // scarce resource, local optimization is free.
-  float query_gate_score = 0.35f;
-  int max_gate_steps = 6;
   // Table VI ablation: random bytes at I, no optimization.
   bool random_content = false;
 };

@@ -6,6 +6,11 @@ namespace mpass::attack {
 
 using util::ByteBuf;
 
+constexpr int kMaxEpisodeLen = 10;  // mutations per episode before reset
+constexpr double kEpsilon = 0.25;   // exploration rate
+constexpr double kAlpha = 0.2;      // learning rate
+constexpr double kGamma = 0.9;      // discount
+
 double& Rla::q(std::uint64_t state, std::size_t action) {
   auto [it, inserted] = qtable_.try_emplace(state);
   if (inserted) it->second.fill(0.0);
@@ -13,7 +18,7 @@ double& Rla::q(std::uint64_t state, std::size_t action) {
 }
 
 std::size_t Rla::choose(std::uint64_t state, util::Rng& rng) {
-  if (rng.chance(cfg_.epsilon)) return rng.below(kNumActions);
+  if (rng.chance(kEpsilon)) return rng.below(kNumActions);
   auto [it, inserted] = qtable_.try_emplace(state);
   if (inserted) it->second.fill(0.0);
   std::size_t best = 0;
@@ -33,13 +38,12 @@ AttackResult Rla::run(std::span<const std::uint8_t> malware,
     // One episode: mutate from the pristine sample.
     ByteBuf current(malware.begin(), malware.end());
     std::uint64_t state = state_fingerprint(current);
-    for (int step = 0; step < cfg_.max_episode_len && !oracle.exhausted();
-         ++step) {
+    for (int step = 0; step < kMaxEpisodeLen && !oracle.exhausted(); ++step) {
       const std::size_t a = choose(state, rng);
       auto mutated =
           apply_action(static_cast<Action>(a), current, pool_, rng);
       if (!mutated) {
-        q(state, a) += cfg_.alpha * (-0.05 - q(state, a));  // useless action
+        q(state, a) += kAlpha * (-0.05 - q(state, a));  // useless action
         continue;
       }
       current = std::move(*mutated);
@@ -50,8 +54,7 @@ AttackResult Rla::run(std::span<const std::uint8_t> malware,
       if (inserted) it->second.fill(0.0);
       double next_max = 0.0;
       for (double v : it->second) next_max = std::max(next_max, v);
-      q(state, a) +=
-          cfg_.alpha * (reward + cfg_.gamma * next_max - q(state, a));
+      q(state, a) += kAlpha * (reward + kGamma * next_max - q(state, a));
       state = next;
 
       if (!detected) {

@@ -16,17 +16,10 @@
 
 namespace mpass::attack {
 
-struct RlaConfig {
-  int max_episode_len = 10;   // mutations per episode before reset
-  double epsilon = 0.25;      // exploration rate
-  double alpha = 0.2;         // learning rate
-  double gamma = 0.9;         // discount
-};
-
 class Rla : public Attack {
  public:
-  Rla(RlaConfig cfg, std::span<const util::ByteBuf> benign_pool)
-      : cfg_(cfg), pool_(benign_pool.begin(), benign_pool.end()) {}
+  explicit Rla(std::span<const util::ByteBuf> benign_pool)
+      : pool_(benign_pool.begin(), benign_pool.end()) {}
 
   std::string_view name() const override { return "RLA"; }
 
@@ -44,7 +37,6 @@ class Rla : public Attack {
   double& q(std::uint64_t state, std::size_t action);
   std::size_t choose(std::uint64_t state, util::Rng& rng);
 
-  RlaConfig cfg_;
   std::vector<util::ByteBuf> pool_;
   std::unordered_map<std::uint64_t, std::array<double, kNumActions>> qtable_;
 };

@@ -10,17 +10,28 @@ using util::ByteBuf;
 
 namespace {
 
+constexpr int kBatch = 4;  // samples per Adam step
+constexpr std::uint64_t kSeed = 17;
+// PGD-AT: fraction of each malware sample's bytes perturbed, and the number
+// of gradient ascent steps used to craft the training AE.
+constexpr double kPerturbFraction = 0.05;
+constexpr int kPgdSteps = 2;
+// Fraction of malware samples that get an AE companion each epoch; 1.0
+// doubles the malicious side of every batch with off-distribution bytes,
+// which collapses small-capacity models.
+constexpr double kAdvSampleFraction = 0.35;
+
 /// Crafts a gradient byte-level AE of `sample` against `net`: picks the
 /// highest-|gradient| positions and flips each to the byte minimizing the
 /// first-order benign-direction loss. No function preservation -- exactly
 /// the uniform-perturbation AEs the paper says PGD-AT is limited to.
 ByteBuf craft_pgd_ae(ml::ByteConvNet& net, const ByteBuf& sample,
-                     double fraction, int steps, util::Rng& rng) {
+                     util::Rng& rng) {
   ByteBuf adv = sample;
   const std::size_t budget = std::max<std::size_t>(
-      16, static_cast<std::size_t>(fraction *
+      16, static_cast<std::size_t>(kPerturbFraction *
                                    static_cast<double>(sample.size())));
-  for (int step = 0; step < steps; ++step) {
+  for (int step = 0; step < kPgdSteps; ++step) {
     net.forward(adv);
     std::vector<float> grad;
     net.backward(/*target=*/0.0f, &grad, /*accumulate_params=*/false,
@@ -37,7 +48,7 @@ ByteBuf craft_pgd_ae(ml::ByteConvNet& net, const ByteBuf& sample,
         mag += grad[t * d + k] * grad[t * d + k];
       ranked.emplace_back(mag, t);
     }
-    const std::size_t take = std::min(budget / steps + 1, ranked.size());
+    const std::size_t take = std::min(budget / kPgdSteps + 1, ranked.size());
     std::partial_sort(
         ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(take),
         ranked.end(), [](const auto& a, const auto& b) { return a.first > b.first; });
@@ -74,7 +85,7 @@ float adversarial_train_pgd(ByteConvDetector& detector,
                             const AdvTrainConfig& cfg) {
   ml::ByteConvNet& net = detector.net();
   ml::Adam opt(net.params(), cfg.lr);
-  util::Rng rng(cfg.seed);
+  util::Rng rng(kSeed);
   std::vector<std::size_t> order(train.samples.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
 
@@ -92,15 +103,14 @@ float adversarial_train_pgd(ByteConvDetector& detector,
       net.forward(s.bytes);
       loss += net.backward(static_cast<float>(s.label));
       ++count;
-      if (craft && s.label == 1 && rng.chance(cfg.adv_sample_fraction)) {
+      if (craft && s.label == 1 && rng.chance(kAdvSampleFraction)) {
         // Train on the crafted AE too, still labeled malicious.
-        const ByteBuf adv = craft_pgd_ae(net, s.bytes, cfg.perturb_fraction,
-                                         cfg.pgd_steps, rng);
+        const ByteBuf adv = craft_pgd_ae(net, s.bytes, rng);
         net.forward(adv);
         loss += net.backward(1.0f);
         ++count;
       }
-      if (++in_batch == cfg.batch) {
+      if (++in_batch == kBatch) {
         opt.step();
         net.clamp_nonneg();
         in_batch = 0;
@@ -135,8 +145,7 @@ float adversarial_train_with_aes(ByteConvDetector& detector,
   NetTrainConfig tc;
   tc.epochs = cfg.epochs;
   tc.lr = cfg.lr;
-  tc.batch = cfg.batch;
-  tc.seed = cfg.seed;
+  tc.seed = kSeed;
   return train_net(detector, mixed, tc);
 }
 

@@ -21,16 +21,6 @@ namespace mpass::detect {
 struct AdvTrainConfig {
   int epochs = 2;
   float lr = 1e-3f;
-  int batch = 4;
-  std::uint64_t seed = 17;
-  // PGD-AT: fraction of each malware sample's bytes perturbed, and the
-  // number of gradient ascent steps used to craft the training AE.
-  double perturb_fraction = 0.05;
-  int pgd_steps = 2;
-  // Fraction of malware samples that get an AE companion each epoch; 1.0
-  // doubles the malicious side of every batch with off-distribution bytes,
-  // which collapses small-capacity models.
-  double adv_sample_fraction = 0.35;
 };
 
 /// PGD-AT-style training: each malware sample is accompanied by a

@@ -33,6 +33,8 @@ void calibrate_threshold(Detector& detector, const corpus::Dataset& data,
   detector.set_threshold(util::threshold_for_fpr(scores, labels, max_fpr));
 }
 
+constexpr int kBatch = 4;  // samples per Adam step
+
 float train_net(ByteConvDetector& detector, const corpus::Dataset& train,
                 const NetTrainConfig& cfg) {
   ml::ByteConvNet& net = detector.net();
@@ -51,7 +53,7 @@ float train_net(ByteConvDetector& detector, const corpus::Dataset& train,
       const corpus::Sample& s = train.samples[idx];
       net.forward(s.bytes);
       epoch_loss += net.backward(static_cast<float>(s.label));
-      if (++in_batch == cfg.batch) {
+      if (++in_batch == kBatch) {
         opt.step();
         net.clamp_nonneg();
         in_batch = 0;

@@ -26,12 +26,12 @@ void calibrate_threshold(Detector& detector, const corpus::Dataset& data,
 struct NetTrainConfig {
   int epochs = 3;
   float lr = 1e-3f;
-  int batch = 4;
   std::uint64_t seed = 7;
 };
 
-/// Trains a ByteConvDetector with Adam + BCE; applies the non-negativity
-/// clamp after each step when the architecture requires it.
+/// Trains a ByteConvDetector with Adam + BCE over minibatches of 4; applies
+/// the non-negativity clamp after each step when the architecture requires
+/// it.
 /// Returns final-epoch mean training loss.
 float train_net(ByteConvDetector& detector, const corpus::Dataset& train,
                 const NetTrainConfig& cfg);

@@ -1,12 +1,14 @@
 #include "detectors/zoo.hpp"
 
 #include <cstdlib>
-#include <thread>
+#include <exception>
 
 #include "obs/log.hpp"
 #include "obs/span.hpp"
 #include "pack/packer.hpp"
+#include "util/env.hpp"
 #include "util/hashing.hpp"
+#include "util/threadpool.hpp"
 
 namespace mpass::detect {
 
@@ -15,14 +17,23 @@ using util::ByteBuf;
 namespace {
 constexpr std::uint64_t kZooCacheVersion = 10;
 
-std::size_t env_size(const char* name, std::size_t fallback) {
-  if (const char* v = std::getenv(name); v && *v)
-    return static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  return fallback;
+/// Waits for every job, even after one has thrown (the jobs read their
+/// submitter's locals), then rethrows the first failure.
+void wait_all(util::ThreadPool& tp, std::vector<std::future<void>>& jobs) {
+  std::exception_ptr failure;
+  for (std::future<void>& job : jobs) {
+    try {
+      tp.wait(std::move(job));
+    } catch (...) {
+      if (!failure) failure = std::current_exception();
+    }
+  }
+  if (failure) std::rethrow_exception(failure);
 }
 }  // namespace
 
 ZooConfig ZooConfig::from_env() {
+  using util::env_size;
   ZooConfig cfg;
   cfg.seed = env_size("MPASS_SEED", cfg.seed);
   cfg.train_malware = env_size("MPASS_TRAIN_MAL", cfg.train_malware);
@@ -243,7 +254,9 @@ void ModelZoo::build_or_load() {
             train_.samples.size(), test_.samples.size(), cfg_.net_epochs);
   OBS_SCOPE("zoo.train");
 
-  // Train the target nets and surrogates in parallel, GBDT + LM here.
+  // One pool task per net, plus one for GBDT + LM. The pool is first asked
+  // for here, after the cache probe, so a cache hit never starts its
+  // workers.
   NetTrainConfig tc;
   tc.epochs = cfg_.net_epochs;
   tc.seed = cfg_.seed + 10;
@@ -254,23 +267,24 @@ void ModelZoo::build_or_load() {
       cfg_.seed ^ 0xA77AC4, cfg_.train_malware / 2 + 150,
       cfg_.train_benign / 2 + 150);
   augment_structural_noise(attacker_train, cfg_.seed ^ 0xA07);
-  std::vector<std::thread> workers;
-  workers.emplace_back([&] { train_net(*malconv_, train_, tc); });
-  workers.emplace_back([&] { train_net(*nonneg_, train_, tc); });
-  workers.emplace_back([&] { train_net(*malgcg_, train_, tc); });
+  util::ThreadPool& tp = util::ThreadPool::instance();
+  std::vector<std::future<void>> jobs;
+  for (ByteConvDetector* d : {malconv_.get(), nonneg_.get(), malgcg_.get()})
+    jobs.push_back(tp.submit([&, d] { train_net(*d, train_, tc); }));
   for (auto& s : surrogates_)
-    workers.emplace_back([&, sp = s.get()] {
+    jobs.push_back(tp.submit([&, sp = s.get()] {
       NetTrainConfig stc = tc;
       stc.seed ^= util::fnv1a64(std::string_view(sp->name()));
       train_net(*sp, attacker_train, stc);
-    });
-  train_gbdt(*lightgbm_, train_, cfg_.seed + 11);
-  {
+    }));
+  // Submitted last, so run first (the pool is LIFO): the longest job.
+  jobs.push_back(tp.submit([&] {
+    train_gbdt(*lightgbm_, train_, cfg_.seed + 11);
     util::Rng lm_rng(cfg_.seed + 12);
     for (int e = 0; e < cfg_.lm_epochs; ++e)
       lm_->train_epoch(pool_, cfg_.lm_windows, 2e-3f, lm_rng);
-  }
-  for (std::thread& t : workers) t.join();
+  }));
+  wait_all(tp, jobs);
 
   for (Detector* d : offline()) {
     calibrate_threshold(*d, train_, cfg_.target_fpr);
@@ -346,12 +360,13 @@ void ModelZoo::build_avs() {
             profiles.size());
   OBS_SCOPE("zoo.train_avs");
   avs_.resize(profiles.size());
-  std::vector<std::thread> workers;
+  util::ThreadPool& tp = util::ThreadPool::instance();
+  std::vector<std::future<void>> jobs;
   for (std::size_t i = 0; i < profiles.size(); ++i)
-    workers.emplace_back([this, &profiles, i] {
+    jobs.push_back(tp.submit([this, &profiles, i] {
       avs_[i] = std::make_unique<CommercialAv>(profiles[i], train_);
-    });
-  for (std::thread& t : workers) t.join();
+    }));
+  wait_all(tp, jobs);
   avs_built_ = true;
 
   if (cfg_.use_cache) {

@@ -11,6 +11,9 @@ namespace mpass::explain {
 
 using util::ByteBuf;
 
+// Most common section names considered (S_all).
+constexpr std::size_t kTopH = 30;
+
 PemResult run_pem(std::span<const ByteBuf> malware,
                   std::span<const detect::Detector* const> known_models,
                   const PemConfig& cfg) {
@@ -39,7 +42,7 @@ PemResult run_pem(std::span<const ByteBuf> malware,
     return a.first != b.first ? a.first > b.first : a.second < b.second;
   });
   for (const auto& [count, name] : ranked) {
-    if (out.common_sections.size() >= cfg.top_h) break;
+    if (out.common_sections.size() >= kTopH) break;
     out.common_sections.push_back(name);
   }
   const std::size_t n_common = out.common_sections.size();
@@ -54,7 +57,7 @@ PemResult run_pem(std::span<const ByteBuf> malware,
     out.model_names.emplace_back(model->name());
     std::vector<double> sum(n_common, 0.0);
 
-    ShapleyOptions sopts = cfg.shapley;
+    ShapleyOptions sopts;
     for (const pe::PeFile& file : files) {
       OBS_SCOPE("pem.shapley");
       ++sopts.seed;  // decorrelate MC sampling across samples

@@ -14,9 +14,7 @@
 namespace mpass::explain {
 
 struct PemConfig {
-  std::size_t top_h = 30;  // most common section names considered (S_all)
   std::size_t top_k = 3;   // per-model critical-section count
-  ShapleyOptions shapley;
 };
 
 struct PemResult {

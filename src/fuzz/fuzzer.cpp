@@ -19,6 +19,9 @@ using util::Rng;
 
 namespace {
 
+constexpr std::size_t kMaxRounds = 4;        // mutation rounds per iteration
+constexpr std::size_t kMaxInput = 1u << 20;  // inputs are clamped to this size
+
 /// Stable per-iteration RNG stream: mixing the master seed with the
 /// iteration index makes every iteration reproducible in isolation.
 Rng iteration_rng(std::uint64_t seed, std::size_t iter) {
@@ -177,9 +180,9 @@ ByteBuf Fuzzer::input_for_iteration(std::size_t iter,
                                     std::vector<std::string>* mutators) const {
   Rng rng = iteration_rng(cfg_.seed, iter);
   ByteBuf input = seeds_[rng.below(seeds_.size())];
-  const std::size_t rounds = 1 + rng.below(cfg_.max_rounds);
+  const std::size_t rounds = 1 + rng.below(kMaxRounds);
   const auto applied = mutate(input, rng, rounds);
-  if (input.size() > cfg_.max_input) input.resize(cfg_.max_input);
+  if (input.size() > kMaxInput) input.resize(kMaxInput);
   if (mutators) {
     mutators->clear();
     for (const std::string_view name : applied) mutators->emplace_back(name);

@@ -1,8 +1,8 @@
 // Deterministic structure-aware fuzzing driver.
 //
 // Every iteration is derived purely from (config.seed, iteration index):
-// pick a seed-corpus input, apply 1..max_rounds catalogue mutators, run the
-// differential oracle (oracle.hpp). A fixed cadence of iterations
+// pick a seed-corpus input, apply 1..4 catalogue mutators, clamp it to 1 MiB,
+// run the differential oracle (oracle.hpp). A fixed cadence of iterations
 // additionally fuzzes StubOptions knobs and runs the full
 // modification + sandbox functionality-preservation oracle on a corpus
 // sample. Violating inputs are ddmin-minimized and written to
@@ -22,13 +22,11 @@ namespace mpass::fuzz {
 struct FuzzConfig {
   std::uint64_t seed = 1;
   std::size_t iterations = 10000;
-  std::size_t max_rounds = 4;     // mutation rounds per iteration
   // Every attack_every-th iteration runs the StubOptions + attack oracles
   // (they are ~100x slower than the structural checks). 0 disables them.
   std::size_t attack_every = 64;
   std::filesystem::path out_dir;  // empty: no artifacts written
   bool minimize = true;
-  std::size_t max_input = 1u << 20;  // inputs are clamped to this size
 };
 
 struct Finding {

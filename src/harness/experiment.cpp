@@ -15,6 +15,7 @@
 #include "obs/log.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
+#include "util/env.hpp"
 #include "util/hashing.hpp"
 #include "util/serialize.hpp"
 
@@ -24,12 +25,9 @@ using util::ByteBuf;
 
 ExperimentConfig ExperimentConfig::from_env() {
   ExperimentConfig cfg;
-  if (const char* v = std::getenv("MPASS_N"); v && *v)
-    cfg.n_samples = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  if (const char* v = std::getenv("MPASS_MAX_QUERIES"); v && *v)
-    cfg.max_queries = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-  if (const char* v = std::getenv("MPASS_EXP_SEED"); v && *v)
-    cfg.seed = std::strtoull(v, nullptr, 10);
+  cfg.n_samples = util::env_size("MPASS_N", cfg.n_samples);
+  cfg.max_queries = util::env_size("MPASS_MAX_QUERIES", cfg.max_queries);
+  cfg.seed = util::env_size("MPASS_EXP_SEED", cfg.seed);
   if (std::getenv("MPASS_NO_CACHE")) cfg.use_cache = false;
   return cfg;
 }
@@ -315,18 +313,12 @@ std::unique_ptr<attack::Attack> make_attack(std::string_view name,
     return std::make_unique<attack::Mpass>(std::string(name), cfg,
                                            zoo.benign_pool(), known);
   }
-  if (name == "RLA")
-    return std::make_unique<attack::Rla>(attack::RlaConfig{},
-                                         zoo.benign_pool());
-  if (name == "MAB")
-    return std::make_unique<attack::Mab>(attack::MabConfig{},
-                                         zoo.benign_pool());
+  if (name == "RLA") return std::make_unique<attack::Rla>(zoo.benign_pool());
+  if (name == "MAB") return std::make_unique<attack::Mab>(zoo.benign_pool());
   if (name == "GAMMA")
-    return std::make_unique<attack::Gamma>(attack::GammaConfig{},
-                                           zoo.benign_pool());
+    return std::make_unique<attack::Gamma>(zoo.benign_pool());
   if (name == "MalRNN")
-    return std::make_unique<attack::MalRnn>(attack::MalRnnConfig{},
-                                            zoo.benign_lm());
+    return std::make_unique<attack::MalRnn>(zoo.benign_lm());
   if (name == "UPX")
     return std::make_unique<attack::ObfuscateAttack>(pack::PackerKind::UpxLike);
   if (name == "PESpin")

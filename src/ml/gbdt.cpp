@@ -10,6 +10,9 @@
 namespace mpass::ml {
 
 namespace {
+constexpr float kLambda = 1.0f;  // L2 regularization on leaf values
+constexpr float kMinChildHess = 1.0f;
+
 inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 }
 
@@ -102,7 +105,7 @@ void Gbdt::fit(const std::vector<std::vector<float>>& x,
       }
       auto make_leaf = [&] {
         tree[static_cast<std::size_t>(w.node)].value =
-            static_cast<float>(-G / (H + cfg_.lambda)) * cfg_.learning_rate;
+            static_cast<float>(-G / (H + kLambda)) * cfg_.learning_rate;
       };
       if (w.depth >= cfg_.max_depth || w.rows.size() < 2) {
         make_leaf();
@@ -110,7 +113,7 @@ void Gbdt::fit(const std::vector<std::vector<float>>& x,
       }
 
       // Best split via per-feature histograms.
-      const double parent_gain = G * G / (H + cfg_.lambda);
+      const double parent_gain = G * G / (H + kLambda);
       double best_gain = 1e-6;  // require strictly positive improvement
       int best_feat = -1;
       int best_bin = -1;
@@ -132,9 +135,9 @@ void Gbdt::fit(const std::vector<std::vector<float>>& x,
           hl += hh[static_cast<std::size_t>(b)];
           const double gr = G - gl;
           const double hr = H - hl;
-          if (hl < cfg_.min_child_hess || hr < cfg_.min_child_hess) continue;
-          const double gain = gl * gl / (hl + cfg_.lambda) +
-                              gr * gr / (hr + cfg_.lambda) - parent_gain;
+          if (hl < kMinChildHess || hr < kMinChildHess) continue;
+          const double gain = gl * gl / (hl + kLambda) +
+                              gr * gr / (hr + kLambda) - parent_gain;
           if (gain > best_gain) {
             best_gain = gain;
             best_feat = static_cast<int>(f);

@@ -20,8 +20,6 @@ struct GbdtConfig {
   int max_depth = 5;
   int bins = 64;
   float learning_rate = 0.1f;
-  float lambda = 1.0f;        // L2 regularization on leaf values
-  float min_child_hess = 1.0f;
   float feature_fraction = 1.0f;  // per-tree column subsampling
 };
 
@@ -38,8 +36,6 @@ class Gbdt {
 
   /// Raw additive score (logit).
   float decision(std::span<const float> x) const;
-
-  const GbdtConfig& config() const { return cfg_; }
 
   /// Split-count feature importance: how often each feature is used as a
   /// split across the ensemble (normalized to sum to 1; empty before fit).

@@ -158,8 +158,7 @@ std::string_view packer_name(PackerKind kind) {
 }
 
 std::optional<ByteBuf> pack(PackerKind kind,
-                            std::span<const std::uint8_t> input,
-                            [[maybe_unused]] const PackOptions& opts) {
+                            std::span<const std::uint8_t> input) {
   pe::PeFile orig;
   try {
     orig = pe::PeFile::parse(input);
@@ -168,9 +167,6 @@ std::optional<ByteBuf> pack(PackerKind kind,
   }
   if (orig.sections.empty()) return std::nullopt;
 
-  // Note: real packers are near-deterministic -- the fixed stub and section
-  // names are exactly the learnable artifact Table IV hinges on, so opts.seed
-  // intentionally does not randomize the stub.
   const Style style = style_of(kind);
 
   // Encode each non-empty section.

@@ -24,14 +24,11 @@ enum class PackerKind { UpxLike, PespinLike, AspackLike };
 
 std::string_view packer_name(PackerKind kind);
 
-struct PackOptions {
-  std::uint64_t seed = 1;  // stub decoration randomness (packers vary little)
-};
-
 /// Packs a PE file. Returns nullopt if the input cannot be parsed or has no
 /// sections. The result is a runnable PE with identical behavior trace.
+/// Deterministic: like real packers, the stub and section names are fixed,
+/// which is exactly the learnable artifact Table IV hinges on.
 std::optional<util::ByteBuf> pack(PackerKind kind,
-                                  std::span<const std::uint8_t> input,
-                                  const PackOptions& opts = {});
+                                  std::span<const std::uint8_t> input);
 
 }  // namespace mpass::pack

@@ -1,6 +1,6 @@
 #include "util/threadpool.hpp"
 
-#include <cstdlib>
+#include "util/env.hpp"
 
 namespace mpass::util {
 
@@ -23,10 +23,7 @@ ThreadPool::~ThreadPool() {
 
 ThreadPool& ThreadPool::instance() {
   static ThreadPool pool([] {
-    if (const char* v = std::getenv("MPASS_THREADS"); v && *v) {
-      const unsigned long long n = std::strtoull(v, nullptr, 10);
-      if (n > 0) return static_cast<std::size_t>(n);
-    }
+    if (const std::size_t n = env_size("MPASS_THREADS", 0); n > 0) return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return static_cast<std::size_t>(hw > 0 ? hw : 1);
   }());

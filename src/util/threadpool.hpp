@@ -1,7 +1,9 @@
-// Thread pool shared by the experiment harness: one task queue.
+// Thread pool shared by the experiment harness and zoo training: one task
+// queue.
 //
 // The harness submits one task per (target, attack) cell, and each cell
-// task fans out one sub-task per sample, then waits for them. Tasks run for
+// task fans out one sub-task per sample, then waits for them. The model
+// zoo submits one training task per byte net or AV simulator. Tasks run for
 // milliseconds to seconds, so a few hundred start per second at most and
 // one mutex over one std::deque is never contended.
 //

@@ -143,7 +143,7 @@ TEST(Actions, StateFingerprintReactsToStructure) {
 TEST(Baselines, MabBeatsSizeDetector) {
   const ByteBuf sample = corpus::make_malware(3200).bytes();
   const SizeDetector det(sample.size() + 4096);
-  Mab mab({}, tiny_pool());
+  Mab mab(tiny_pool());
   ASSERT_TRUE(det.is_malicious(sample));
   detect::HardLabelOracle oracle(det, 100);
   const AttackResult r = mab.run(sample, oracle, 3);
@@ -153,7 +153,7 @@ TEST(Baselines, MabBeatsSizeDetector) {
 }
 
 TEST(Baselines, RlaBeatsSizeDetectorAndLearns) {
-  Rla rla({}, tiny_pool());
+  Rla rla(tiny_pool());
   int wins = 0, attempted = 0;
   for (int i = 0; i < 5; ++i) {
     const ByteBuf sample = corpus::make_malware(3300 + i).bytes();
@@ -169,7 +169,7 @@ TEST(Baselines, RlaBeatsSizeDetectorAndLearns) {
 TEST(Baselines, GammaInjectsBenignSections) {
   const ByteBuf sample = corpus::make_malware(3400).bytes();
   const SizeDetector det(sample.size() + 2048);
-  Gamma gamma({}, tiny_pool());
+  Gamma gamma(tiny_pool());
   detect::HardLabelOracle oracle(det, 100);
   const AttackResult r = gamma.run(sample, oracle, 17);
   ASSERT_TRUE(r.success);
@@ -185,9 +185,9 @@ TEST(Baselines, FailAgainstAlwaysMaliciousWithinBudget) {
   const AlwaysMalicious det;
   const ByteBuf sample = corpus::make_malware(3500).bytes();
   const auto pool = tiny_pool();
-  Mab mab({}, pool);
-  Rla rla({}, pool);
-  Gamma gamma({}, pool);
+  Mab mab(pool);
+  Rla rla(pool);
+  Gamma gamma(pool);
   for (Attack* atk : std::initializer_list<Attack*>{&mab, &rla, &gamma}) {
     detect::HardLabelOracle oracle(det, 25);
     const AttackResult r = atk->run(sample, oracle, 23);
@@ -210,7 +210,7 @@ TEST(Baselines, ObfuscateAttackIsOneShot) {
 
 TEST(Baselines, MalRnnAppendsGrowingChunks) {
   ml::GruLm lm(ml::GruLmConfig{}, 3);  // untrained LM still generates bytes
-  MalRnn malrnn({}, lm);
+  MalRnn malrnn(lm);
   const ByteBuf sample = corpus::make_malware(3700).bytes();
   const SizeDetector det(sample.size() + 6000);
   ASSERT_TRUE(det.is_malicious(sample));
@@ -247,7 +247,7 @@ TEST(Baselines, MalRnnTracesWhereEachChunkLands) {
   std::filesystem::create_directories(dir);
   obs::set_trace_dir(dir);
   ml::GruLm lm(ml::GruLmConfig{}, 3);
-  MalRnn malrnn({}, lm);
+  MalRnn malrnn(lm);
   const ByteBuf sample = corpus::make_malware(3700).bytes();
   const SizeLog det(sample.size() + 6000);
   const std::uint64_t digest = util::fnv1a64(sample);
@@ -290,10 +290,10 @@ TEST(Baselines, MalRnnTracesWhereEachChunkLands) {
 std::unique_ptr<Attack> make_baseline(std::string_view name,
                                       std::span<const ByteBuf> pool,
                                       ml::GruLm& lm) {
-  if (name == "RLA") return std::make_unique<Rla>(RlaConfig{}, pool);
-  if (name == "MAB") return std::make_unique<Mab>(MabConfig{}, pool);
-  if (name == "GAMMA") return std::make_unique<Gamma>(GammaConfig{}, pool);
-  if (name == "MalRNN") return std::make_unique<MalRnn>(MalRnnConfig{}, lm);
+  if (name == "RLA") return std::make_unique<Rla>(pool);
+  if (name == "MAB") return std::make_unique<Mab>(pool);
+  if (name == "GAMMA") return std::make_unique<Gamma>(pool);
+  if (name == "MalRNN") return std::make_unique<MalRnn>(lm);
   return std::make_unique<ObfuscateAttack>(pack::PackerKind::PespinLike);
 }
 
@@ -374,7 +374,7 @@ INSTANTIATE_TEST_SUITE_P(
 // runs of the functionality check.
 TEST(HarnessSpans, GbdtCellRecordsOracleGbdtAndSandbox) {
   const auto pool = tiny_pool();
-  Rla atk(RlaConfig{}, pool);
+  Rla atk(pool);
   std::vector<ByteBuf> samples;
   for (int i = 0; i < 2; ++i)
     samples.push_back(corpus::make_malware(3900 + i).bytes());

@@ -7,6 +7,7 @@
 #include "attack/mpass.hpp"
 #include "explain/pem.hpp"
 #include "harness/experiment.hpp"
+#include "obs/span.hpp"
 
 namespace mpass {
 namespace {
@@ -15,8 +16,15 @@ using util::ByteBuf;
 
 class MiniZoo : public ::testing::Test {
  protected:
-  static detect::ModelZoo& zoo() {
-    static detect::ModelZoo* z = [] {
+  /// The zoo, with the span rows taken just before and just after it was
+  /// built.
+  struct Build {
+    detect::ModelZoo* zoo = nullptr;
+    std::vector<obs::SpanRow> before, after;
+  };
+
+  static const Build& build() {
+    static const Build b = [] {
       detect::ZooConfig cfg;
       cfg.seed = 20230707;
       cfg.train_malware = 80;
@@ -30,11 +38,41 @@ class MiniZoo : public ::testing::Test {
       cfg.lm_windows = 150;
       cfg.lm_epochs = 1;
       cfg.use_cache = false;
-      return new detect::ModelZoo(cfg);
+      Build out;
+      out.before = obs::span_snapshot();
+      out.zoo = new detect::ModelZoo(cfg);
+      out.after = obs::span_snapshot();
+      return out;
     }();
-    return *z;
+    return b;
   }
+
+  static detect::ModelZoo& zoo() { return *build().zoo; }
 };
+
+/// Summed span count over the rows whose path satisfies `match`.
+template <typename Match>
+std::uint64_t span_count(const std::vector<obs::SpanRow>& rows, Match match) {
+  std::uint64_t n = 0;
+  for (const obs::SpanRow& r : rows)
+    if (match(std::string_view(r.path))) n += r.count;
+  return n;
+}
+
+TEST_F(MiniZoo, TrainingSpansNestUnderZooTrain) {
+  // The nets train as util::ThreadPool tasks, which carry the submitting
+  // call path, so no backward pass of the build lands at the profile root.
+  const auto at_root = [](std::string_view p) {
+    return p == "ml.byteconv.backward";
+  };
+  const auto under_train = [](std::string_view p) {
+    return p.starts_with("zoo.train/") && p.ends_with("/ml.byteconv.backward");
+  };
+  EXPECT_EQ(span_count(build().after, at_root),
+            span_count(build().before, at_root));
+  EXPECT_GT(span_count(build().after, under_train),
+            span_count(build().before, under_train));
+}
 
 TEST_F(MiniZoo, DetectorsLearnSomething) {
   for (detect::Detector* d : zoo().offline()) {
@@ -72,9 +110,7 @@ TEST_F(MiniZoo, PemRanksContentSections) {
     malware.push_back(corpus::make_malware(606000 + i).bytes());
   std::vector<const detect::Detector*> known;
   for (detect::Detector* d : zoo().offline()) known.push_back(d);
-  explain::PemConfig cfg;
-  cfg.top_k = 3;
-  const explain::PemResult res = explain::run_pem(malware, known, cfg);
+  const explain::PemResult res = explain::run_pem(malware, known);
   ASSERT_EQ(res.model_names.size(), 4u);
   // The common sections list must contain the standard content sections.
   EXPECT_NE(std::find(res.common_sections.begin(), res.common_sections.end(),
@@ -84,7 +120,7 @@ TEST_F(MiniZoo, PemRanksContentSections) {
 
 TEST_F(MiniZoo, AvLearningCatchesBaselineArtifacts) {
   detect::CommercialAv& av = *zoo().avs()[0];
-  attack::Mab mab({}, zoo().benign_pool());
+  attack::Mab mab(zoo().benign_pool());
   const detect::Detector* gate[] = {&av};
   const auto samples = harness::make_attack_set(gate, 6, 123);
   std::vector<ByteBuf> aes;

@@ -121,9 +121,12 @@ constexpr std::uint64_t kTargetSeed = 6;
 
 /// run_cell must produce bit-identical CellStats regardless of the thread
 /// count (per-sample clones + per-sample RNG streams seeded from the sample
-/// digest make each outcome independent of scheduling order).
+/// digest make each outcome independent of scheduling order). `want_digest`
+/// pins the 1-thread result_digest(), so a drifted attack constant fails
+/// here too, not only in the golden grids.
 template <typename MakeAttack>
-void expect_thread_count_invariance(MakeAttack make_attack) {
+void expect_thread_count_invariance(MakeAttack make_attack,
+                                    std::uint64_t want_digest) {
   std::vector<util::ByteBuf> samples;
   for (int i = 0; i < 6; ++i)
     samples.push_back(corpus::make_malware(9100 + i).bytes());
@@ -170,21 +173,22 @@ void expect_thread_count_invariance(MakeAttack make_attack) {
     EXPECT_EQ(aes1[i], aes8[i]) << "AE " << i << " differs";
   EXPECT_EQ(s1.ae_digest, s8.ae_digest);
   EXPECT_EQ(s1.result_digest(), s8.result_digest());
+  EXPECT_EQ(s1.result_digest(), want_digest);
   EXPECT_GT(s1.total_queries, 0u);
 }
 
 TEST(ThreadPool, RunCellDeterministicAcrossThreadCounts) {
   expect_thread_count_invariance([](std::span<const util::ByteBuf> benign) {
-    return std::make_unique<attack::Gamma>(attack::GammaConfig{}, benign);
-  });
+    return std::make_unique<attack::Gamma>(benign);
+  }, 0x44fdeb3bfd1be37eull);
 }
 
 TEST(ThreadPool, RunCellDeterministicForStatefulAttackClones) {
   // MAB keeps cross-sample bandit state; per-sample clones reset it, which
   // is exactly what makes the parallel schedule order-free.
   expect_thread_count_invariance([](std::span<const util::ByteBuf> benign) {
-    return std::make_unique<attack::Mab>(attack::MabConfig{}, benign);
-  });
+    return std::make_unique<attack::Mab>(benign);
+  }, 0x642b394b6cb4b823ull);
 }
 
 TEST(ThreadPool, RunCellDeterministicForMpassCopiedKnownModels) {
@@ -198,7 +202,7 @@ TEST(ThreadPool, RunCellDeterministicForMpassCopiedKnownModels) {
     ml::ByteConvNet* const known[] = {&a, &b};
     return std::make_unique<attack::Mpass>("MPass", attack::MpassConfig{},
                                            benign, known);
-  });
+  }, 0xe49d62ff11191eccull);
 }
 
 }  // namespace

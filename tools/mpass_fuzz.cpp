@@ -9,7 +9,6 @@
 //   mpass_fuzz make-corpus DIR            write the canonical regression
 //                                         inputs (tests/fuzz_corpus/)
 //
-// MPASS_FUZZ_ITERS overrides the default iteration count of `run`.
 // Exit code: 0 clean, 1 invariant violation(s), 2 usage error.
 #include <cstdio>
 #include <cstdlib>
@@ -62,9 +61,8 @@ void print_violation(const fuzz::Violation& v) {
 
 int cmd_run(int argc, char** argv) {
   fuzz::FuzzConfig cfg;
-  const char* env_iters = std::getenv("MPASS_FUZZ_ITERS");
-  cfg.iterations = std::strtoull(
-      opt(argc, argv, "--iters", env_iters ? env_iters : "10000"), nullptr, 10);
+  cfg.iterations =
+      std::strtoull(opt(argc, argv, "--iters", "10000"), nullptr, 10);
   cfg.seed = std::strtoull(opt(argc, argv, "--seed", "1"), nullptr, 10);
   cfg.attack_every =
       std::strtoull(opt(argc, argv, "--attack-every", "64"), nullptr, 10);
